@@ -79,20 +79,23 @@ struct PhaseTimes {
 
 /// Time one pass of the three operator shapes over `rows` under the
 /// currently-set execution mode.
-PhaseTimes time_phases(const std::vector<Row>& rows, const BoundExpr& filter,
+PhaseTimes time_phases(RowView rows, const BoundExpr& filter,
                        const std::vector<BoundExpr>& projections,
-                       const PlanNode& agg) {
+                       const BoundAgg& agg) {
   PhaseTimes t;
   double t0 = now_ms();
-  const auto filtered = filter_project(rows, &filter, {});
+  std::vector<Row> filtered;
+  filter_project(rows, &filter, {}, filtered);
   t.filter_ms = now_ms() - t0;
 
   t0 = now_ms();
-  const auto projected = filter_project(rows, &filter, projections);
+  std::vector<Row> projected;
+  filter_project(rows, &filter, projections, projected);
   t.project_ms = now_ms() - t0;
 
   t0 = now_ms();
-  const auto grouped = aggregate_rows(agg, rows);
+  std::vector<Row> grouped;
+  aggregate_rows(agg, rows, grouped);
   t.agg_ms = now_ms() - t0;
 
   t.check = filtered.size() + projected.size() + grouped.size();
@@ -176,23 +179,25 @@ int main(int argc, char** argv) {
       "SELECT l_suppkey, count(*) AS n, sum(l_extendedprice) AS s, "
       "avg(l_quantity) AS q FROM lineitem GROUP BY l_suppkey",
       catalog);
-  const PlanNode* agg = agg_plan.get();
+  const PlanNode* agg_node = agg_plan.get();
   // plan_query may wrap the Agg in a projection-only SP; unwrap to bench
   // the aggregation operator itself.
-  while (agg->kind != PlanKind::Agg) agg = agg->children.at(0).get();
+  while (agg_node->kind != PlanKind::Agg) agg_node = agg_node->children.at(0).get();
+  const BoundAgg agg(*agg_node);
 
   const bool saved = vectorized_enabled();
   std::printf("%10s %5s %10s %10s %10s %10s\n", "rows", "mode", "filter ms",
               "project ms", "agg ms", "total ms");
   for (const std::size_t n : kSizes) {
     const auto rows = make_rows(n);
+    const auto view = view_of(rows);
     const QueryMetrics sim = engine_metrics(rows);
     PhaseTimes best[2];
     for (const bool vec : {true, false}) {
       set_vectorized_enabled(vec);
       PhaseTimes& t = best[vec ? 0 : 1];
       for (int rep = 0; rep < kReps; ++rep) {
-        const PhaseTimes cur = time_phases(rows, filter, projections, *agg);
+        const PhaseTimes cur = time_phases(view, filter, projections, agg);
         if (rep == 0 || cur.total_ms() < t.total_ms()) t = cur;
       }
       std::printf("%10zu %5s %10.2f %10.2f %10.2f %10.2f\n", n,

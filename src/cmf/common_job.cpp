@@ -1,10 +1,10 @@
 #include "cmf/common_job.h"
 
-#include <map>
-#include <memory>
-#include <unordered_map>
-
 #include <algorithm>
+#include <array>
+#include <memory>
+#include <optional>
+#include <unordered_map>
 
 #include "common/error.h"
 #include "common/normkey.h"
@@ -40,10 +40,9 @@ struct CompiledStage {
   std::vector<Stage::In> inputs;
   int output_index = -1;
 
-  // Join
-  GroupJoinSpec join_spec;
-  BoundExpr join_residual;
-  std::vector<BoundExpr> join_projections;
+  std::optional<GroupJoinSpec> join;
+  std::optional<BoundAgg> agg;
+  std::optional<BoundSort> sort;
 
   // SP
   BoundExpr sp_filter;
@@ -55,12 +54,11 @@ struct CompiledJob {
   std::vector<CompiledEmission> emissions;   // grouped by input file below
   std::vector<std::vector<int>> emissions_by_file;
   std::vector<CompiledStage> stages;
-  std::map<int, int> consumer_bit_to_slot;   // bit -> dense slot index
+  std::array<int, 32> consumer_slot{};       // visibility bit -> dense slot, -1 = none
   int num_consumers = 0;
 
   // CombineAgg state
   const PlanNode* combine_agg = nullptr;
-  std::vector<std::size_t> combine_group_idx;  // unused (exprs used instead)
   std::vector<BoundExpr> combine_group_exprs;
   std::vector<BoundExpr> combine_arg_exprs;    // unbound slot for star
   BoundExpr combine_filter;
@@ -386,90 +384,106 @@ class CombineAggMapper final : public Mapper {
 
 // ------------------------------ reducers ------------------------------
 
+/// One instance per reduce-partition task. The compiled job is shared and
+/// read-only; the members below are this task's scratch, cleared for each
+/// key group and reused, so a group's values are never copied: consumers
+/// and later stages see them through row views.
 class CommonReducer final : public Reducer {
  public:
   explicit CommonReducer(std::shared_ptr<const CompiledJob> cj)
-      : cj_(std::move(cj)) {}
+      : cj_(std::move(cj)),
+        consumer_rows_(static_cast<std::size_t>(cj_->num_consumers)),
+        stage_rows_(cj_->stages.size()),
+        stage_views_(cj_->stages.size()) {}
 
   void reduce(const Row& /*key*/, std::span<const KeyValue> values,
               ReduceEmitter& out) override {
-    // One pass over the value list, dispatching each value to the merged
+    // One pass over the value list, handing each value to the merged
     // reducers that can see it (paper Algorithm 1).
-    std::vector<std::vector<Row>> consumer_rows(
-        static_cast<std::size_t>(cj_->num_consumers));
+    for (auto& rows : consumer_rows_) rows.clear();
     for (const auto& kv : values) {
       const CompiledEmission& e =
           cj_->emissions[static_cast<std::size_t>(kv.source)];
-      for (const auto& c : e.consumers) {
-        if (!kv.visible_to(c.bit)) continue;
-        consumer_rows[static_cast<std::size_t>(
-                          cj_->consumer_bit_to_slot.at(c.bit))]
-            .push_back(kv.value);
-      }
+      for (const auto& c : e.consumers)
+        if (kv.visible_to(c.bit))
+          consumer_rows_[static_cast<std::size_t>(
+                             cj_->consumer_slot[static_cast<std::size_t>(c.bit)])]
+              .push_back(&kv.value);
     }
     // Evaluate merged operations and post-job computations in order.
-    std::vector<std::vector<Row>> stage_rows(cj_->stages.size());
     for (std::size_t s = 0; s < cj_->stages.size(); ++s) {
       const CompiledStage& st = cj_->stages[s];
-      auto input_of = [&](const Stage::In& in) -> const std::vector<Row>& {
+      auto input_of = [&](const Stage::In& in) -> RowView {
+        const auto i = static_cast<std::size_t>(in.index);
         if (in.from_consumer)
-          return consumer_rows[static_cast<std::size_t>(
-              cj_->consumer_bit_to_slot.at(in.index))];
-        return stage_rows[static_cast<std::size_t>(in.index)];
+          return consumer_rows_[static_cast<std::size_t>(cj_->consumer_slot[i])];
+        return stage_views_[i];
       };
+      std::vector<Row>& rows = stage_rows_[s];
+      rows.clear();
       switch (st.op->kind) {
         case PlanKind::Join:
-          stage_rows[s] =
-              join_group(st.join_spec, input_of(st.inputs[0]), input_of(st.inputs[1]));
+          join_group(*st.join, input_of(st.inputs[0]), input_of(st.inputs[1]),
+                     rows, joined_);
           break;
         case PlanKind::Agg:
-          stage_rows[s] = aggregate_rows(*st.op, input_of(st.inputs[0]));
+          aggregate_rows(*st.agg, input_of(st.inputs[0]), rows);
           break;
         case PlanKind::SP:
-          stage_rows[s] = filter_project(
-              input_of(st.inputs[0]), st.sp_has_filter ? &st.sp_filter : nullptr,
-              st.sp_projections);
+          filter_project(input_of(st.inputs[0]), &st.sp_filter,
+                         st.sp_projections, rows);
           break;
-        case PlanKind::Sort: {
-          std::vector<Row> rows = input_of(st.inputs[0]);
-          stage_rows[s] = sort_rows(*st.op, std::move(rows));
+        case PlanKind::Sort:
+          sort_rows(*st.sort, input_of(st.inputs[0]), rows);
           break;
-        }
         case PlanKind::Scan:
           throw InternalError("scan cannot be a reduce stage");
       }
-      if (st.output_index >= 0)
-        for (auto& r : stage_rows[s]) out.emit_to(st.output_index, std::move(r));
+      if (st.output_index >= 0) {
+        for (auto& r : rows) out.emit_to(st.output_index, std::move(r));
+      } else {
+        // Only a stage without a job output feeds a later one (checked at
+        // build time), so these rows are never moved out.
+        std::vector<const Row*>& view = stage_views_[s];
+        view.clear();
+        for (const Row& r : rows) view.push_back(&r);
+      }
     }
   }
 
  private:
   std::shared_ptr<const CompiledJob> cj_;
+  std::vector<std::vector<const Row*>> consumer_rows_;  // by consumer slot
+  std::vector<std::vector<Row>> stage_rows_;            // by stage
+  std::vector<std::vector<const Row*>> stage_views_;    // by stage
+  Row joined_;                                          // join concatenation
 };
 
+/// One instance per reduce-partition task; the aggregate states and the
+/// internal row are re-initialised for each key group, not reallocated.
 class CombineAggReducer final : public Reducer {
  public:
   explicit CombineAggReducer(std::shared_ptr<const CompiledJob> cj)
-      : cj_(std::move(cj)) {}
+      : cj_(std::move(cj)) {
+    for (const auto& a : cj_->combine_agg->aggs) states_.emplace_back(a);
+  }
 
   void reduce(const Row& key, std::span<const KeyValue> values,
               ReduceEmitter& out) override {
-    const auto& aggs = cj_->combine_agg->aggs;
-    std::vector<AggState> states;
-    for (const auto& a : aggs) states.emplace_back(a);
+    for (auto& s : states_) s.reset();
     for (const auto& kv : values) {
       std::size_t pos = 0;
-      for (auto& s : states) {
+      for (auto& s : states_) {
         const std::size_t n = static_cast<std::size_t>(s.partial_arity());
         s.add_partial(std::span<const Value>(kv.value.data() + pos, n));
         pos += n;
       }
     }
-    Row internal = key;
-    for (const auto& s : states) internal.push_back(s.result());
+    internal_.assign(key.begin(), key.end());
+    for (const auto& s : states_) internal_.push_back(s.result());
     Row o;
     o.reserve(cj_->combine_projections.size());
-    for (const auto& p : cj_->combine_projections) o.push_back(p.eval(internal));
+    for (const auto& p : cj_->combine_projections) o.push_back(p.eval(internal_));
     if (cj_->combine_has_having && !is_true(cj_->combine_having.eval(o)))
       return;
     out.emit_to(0, std::move(o));
@@ -477,6 +491,8 @@ class CombineAggReducer final : public Reducer {
 
  private:
   std::shared_ptr<const CompiledJob> cj_;
+  std::vector<AggState> states_;
+  Row internal_;  // group key ‖ aggregate results
 };
 
 }  // namespace
@@ -556,6 +572,7 @@ MRJobSpec build_common_job(const TranslatedJob& job,
 
   // ---- compile emissions ----
   cj->emissions_by_file.resize(job.input_files.size());
+  cj->consumer_slot.fill(-1);
   for (const auto& e : job.emissions) {
     CompiledEmission ce;
     ce.input_file = e.input_file;
@@ -575,7 +592,8 @@ MRJobSpec build_common_job(const TranslatedJob& job,
         cc.filter = BoundExpr(c.filter, fs);
         cc.has_filter = true;
       }
-      cj->consumer_bit_to_slot[c.consumer_id] = cj->num_consumers++;
+      cj->consumer_slot[static_cast<std::size_t>(c.consumer_id)] =
+          cj->num_consumers++;
       ce.consumers.push_back(std::move(cc));
     }
     cj->emissions_by_file[static_cast<std::size_t>(e.input_file)].push_back(
@@ -594,24 +612,15 @@ MRJobSpec build_common_job(const TranslatedJob& job,
     cs.inputs = st.inputs;
     cs.output_index = st.output_index;
     switch (st.op->kind) {
-      case PlanKind::Join: {
-        const Schema& ls = st.op->children[0]->output_schema;
-        const Schema& rs = st.op->children[1]->output_schema;
-        const Schema combined = Schema::concat(ls, rs);
-        if (st.op->filter) {
-          cs.join_residual = BoundExpr(st.op->filter, combined);
-          cs.join_spec.residual = nullptr;  // fixed after move below
-        }
-        cs.join_projections = bind_all(st.op->projections, combined);
-        cs.join_spec.type = st.op->join_type;
-        cs.join_spec.left_width = ls.size();
-        cs.join_spec.right_width = rs.size();
-        for (std::size_t i = 0; i < st.op->left_keys.size(); ++i) {
-          cs.join_spec.left_key_idx.push_back(ls.index_of(st.op->left_keys[i]));
-          cs.join_spec.right_key_idx.push_back(rs.index_of(st.op->right_keys[i]));
-        }
+      case PlanKind::Join:
+        cs.join.emplace(*st.op);
         break;
-      }
+      case PlanKind::Agg:
+        cs.agg.emplace(*st.op);
+        break;
+      case PlanKind::Sort:
+        cs.sort.emplace(*st.op);
+        break;
       case PlanKind::SP: {
         const Schema& child = st.op->children[0]->output_schema;
         if (st.op->filter) {
@@ -621,9 +630,6 @@ MRJobSpec build_common_job(const TranslatedJob& job,
         cs.sp_projections = bind_all(st.op->projections, child);
         break;
       }
-      case PlanKind::Agg:
-      case PlanKind::Sort:
-        break;  // evaluated through the plan node directly
       case PlanKind::Scan: {
         // Scan stages occur only in map-only scan jobs: selection and
         // projection bind against the base file's schema directly.
@@ -640,13 +646,6 @@ MRJobSpec build_common_job(const TranslatedJob& job,
     }
     cj->stages.push_back(std::move(cs));
   }
-  // Fix join_spec residual/projection pointers now that stages won't move.
-  for (auto& cs : cj->stages) {
-    if (cs.op->kind == PlanKind::Join) {
-      if (cs.op->filter) cs.join_spec.residual = &cs.join_residual;
-      cs.join_spec.projections = &cs.join_projections;
-    }
-  }
 
   if (job.kind == TranslatedJob::Kind::MapOnly) {
     check(cj->stages.size() == 1 && (cj->stages[0].op->kind == PlanKind::SP ||
@@ -656,6 +655,21 @@ MRJobSpec build_common_job(const TranslatedJob& job,
     spec.make_reducer = nullptr;
     return spec;
   }
+
+  // The reducer indexes its per-group scratch by the stage inputs and
+  // moves an output stage's rows out, so only a stage without a job output
+  // may feed a later one.
+  for (std::size_t s = 0; s < cj->stages.size(); ++s)
+    for (const auto& in : cj->stages[s].inputs) {
+      if (in.from_consumer)
+        check(in.index >= 0 && in.index < 32 &&
+                  cj->consumer_slot[static_cast<std::size_t>(in.index)] >= 0,
+              "stage input names an unknown consumer");
+      else
+        check(in.index >= 0 && static_cast<std::size_t>(in.index) < s &&
+                  cj->stages[static_cast<std::size_t>(in.index)].output_index < 0,
+              "stage input must be an earlier stage without a job output");
+    }
 
   spec.make_mapper = [cj] { return std::make_unique<CommonMapper>(cj); };
   spec.make_reducer = [cj] { return std::make_unique<CommonReducer>(cj); };

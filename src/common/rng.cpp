@@ -16,9 +16,12 @@ std::uint64_t Rng::next() {
 
 std::int64_t Rng::uniform(std::int64_t lo, std::int64_t hi) {
   check(lo <= hi, "Rng::uniform: lo > hi");
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
+  // Unsigned arithmetic: hi - lo and lo + offset overflow int64 on wide
+  // ranges, while the two's-complement wrap gives the exact result.
+  const auto ulo = static_cast<std::uint64_t>(lo);
+  const std::uint64_t span = static_cast<std::uint64_t>(hi) - ulo + 1;
   if (span == 0) return static_cast<std::int64_t>(next());  // full range
-  return lo + static_cast<std::int64_t>(next() % span);
+  return static_cast<std::int64_t>(ulo + next() % span);
 }
 
 double Rng::uniform01() {

@@ -54,6 +54,16 @@ void AggState::merge(const AggState& other) {
     max_ = other.max_;
 }
 
+void AggState::reset() {
+  count_ = 0;
+  sum_ = 0;
+  sum_all_int_ = true;
+  isum_ = 0;
+  min_ = Value::null();
+  max_ = Value::null();
+  distinct_.clear();
+}
+
 Value AggState::result() const {
   if (call_.func == "count") {
     if (call_.distinct) return Value{static_cast<std::int64_t>(distinct_.size())};

@@ -41,6 +41,10 @@ class AggState {
 
   void merge(const AggState& other);
 
+  /// Back to the freshly constructed state, keeping the call — lets a
+  /// caller reuse one state per aggregate across groups.
+  void reset();
+
   Value result() const;
 
   // ---- partial (combiner) serialization ----

@@ -42,21 +42,19 @@ Value ColumnVector::value_at(std::size_t i) const {
 }
 
 ColumnBatch::ColumnBatch(std::span<const Row> rows) : rows_(rows) {
-  num_cols_ = rows_.empty() ? 0 : rows_.front().size();
-  for (const Row& r : rows_)
-    if (r.size() != num_cols_) {
-      regular_ = false;
-      break;
-    }
-  cols_.resize(regular_ ? num_cols_ : 0);
+  init_shape();
 }
 
-ColumnBatch::ColumnBatch(std::span<const Row> rows,
-                         std::vector<std::uint32_t> sel)
-    : rows_(rows), sel_(std::move(sel)), has_sel_(true) {
-  num_cols_ = sel_.empty() ? 0 : rows_[sel_.front()].size();
-  for (const std::uint32_t i : sel_)
-    if (rows_[i].size() != num_cols_) {
+ColumnBatch::ColumnBatch(std::span<const Row* const> rows)
+    : ptrs_(rows), by_ptr_(true) {
+  init_shape();
+}
+
+void ColumnBatch::init_shape() {
+  const std::size_t n = rows();
+  num_cols_ = n == 0 ? 0 : source_row(0).size();
+  for (std::size_t i = 1; i < n; ++i)
+    if (source_row(i).size() != num_cols_) {
       regular_ = false;
       break;
     }
@@ -64,11 +62,16 @@ ColumnBatch::ColumnBatch(std::span<const Row> rows,
 }
 
 ColumnBatch ColumnBatch::select(const std::vector<std::uint32_t>& local) const {
-  std::vector<std::uint32_t> composed;
-  composed.reserve(local.size());
+  ColumnBatch sub;
+  sub.rows_ = rows_;
+  sub.ptrs_ = ptrs_;
+  sub.by_ptr_ = by_ptr_;
+  sub.has_sel_ = true;
+  sub.sel_.reserve(local.size());
   for (const std::uint32_t i : local)
-    composed.push_back(has_sel_ ? sel_[i] : i);
-  return ColumnBatch(rows_, std::move(composed));
+    sub.sel_.push_back(has_sel_ ? sel_[i] : i);
+  sub.init_shape();
+  return sub;
 }
 
 // Single optimistic pass per column: the first non-null cell fixes the

@@ -1,7 +1,8 @@
 // ColumnBatch: a column-oriented view over a slice of rows.
 //
 // The vectorized execution path (ROADMAP "columnar batch execution")
-// slices every map split / operator input into batches of kBatchRows
+// slices every map split, and every operator input of at least
+// kKernelMinRows rows (exec/operators.h), into batches of kBatchRows
 // rows and pivots each referenced column into a typed vector —
 // Int64/Double/String with a null byte-mask — so the filter/project/
 // aggregate kernels in exec/vector_kernels.h can run type-specialized
@@ -83,20 +84,25 @@ class ColumnBatch {
   /// enough that a handful of materialized columns stay cache-resident.
   static constexpr std::size_t kBatchRows = 1024;
 
-  /// View over `rows` (not owned; must outlive the batch).
+  /// View over `rows` (not owned; must outlive the batch). The engine's
+  /// map path slices its contiguous input split this way.
   explicit ColumnBatch(std::span<const Row> rows);
-  /// View over `rows[sel[0]], rows[sel[1]], ...` — the compacted form
-  /// the kernels use to evaluate projections on filter survivors only.
-  ColumnBatch(std::span<const Row> rows, std::vector<std::uint32_t> sel);
+  /// View over the rows `rows[0], rows[1], ...` point to (neither the
+  /// pointers nor the rows are owned; both must outlive the batch). The
+  /// operators batch a row view (exec/operators.h) this way.
+  explicit ColumnBatch(std::span<const Row* const> rows);
 
-  std::size_t rows() const { return has_sel_ ? sel_.size() : rows_.size(); }
+  std::size_t rows() const {
+    return has_sel_ ? sel_.size() : by_ptr_ ? ptrs_.size() : rows_.size();
+  }
   std::size_t columns() const { return num_cols_; }
   /// False when the rows disagree on arity; kernels then fall back.
   bool regular() const { return regular_; }
 
   /// The underlying source row for batch position `i`.
   const Row& source_row(std::size_t i) const {
-    return rows_[has_sel_ ? sel_[i] : i];
+    const std::size_t j = has_sel_ ? sel_[i] : i;
+    return by_ptr_ ? *ptrs_[j] : rows_[j];
   }
 
   /// Column `c`, pivoted on first use and cached. Requires regular().
@@ -111,9 +117,15 @@ class ColumnBatch {
   Row materialize_row(std::size_t i);
 
  private:
+  ColumnBatch() = default;
+  /// Sets num_cols_, regular_ and the column slots from the source rows.
+  void init_shape();
   void pivot_one(std::size_t c);
 
+  // Exactly one of rows_ / ptrs_ is the source, by by_ptr_.
   std::span<const Row> rows_;
+  std::span<const Row* const> ptrs_;
+  bool by_ptr_ = false;
   std::vector<std::uint32_t> sel_;
   bool has_sel_ = false;
   std::size_t num_cols_ = 0;

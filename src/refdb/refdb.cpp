@@ -12,8 +12,10 @@ struct ExecStats {
   std::uint64_t rows_processed = 0;
 };
 
+// Each plan node is visited once, so every node is bound exactly once.
 std::vector<Row> run(const PlanPtr& node, const TableSource& tables,
                      ExecStats& stats) {
+  std::vector<Row> out;
   switch (node->kind) {
     case PlanKind::Scan: {
       auto t = tables(node->table);
@@ -27,9 +29,9 @@ std::vector<Row> run(const PlanPtr& node, const TableSource& tables,
           t->schema().qualified(node->alias.empty() ? node->table : node->alias);
       BoundExpr filter;
       if (node->filter) filter = BoundExpr(node->filter, qualified);
-      auto projections = bind_all(node->projections, qualified);
-      return filter_project(t->rows(), node->filter ? &filter : nullptr,
-                            projections);
+      filter_project(view_of(t->rows()), &filter,
+                     bind_all(node->projections, qualified), out);
+      return out;
     }
     case PlanKind::SP: {
       auto in = run(node->children[0], tables, stats);
@@ -37,24 +39,28 @@ std::vector<Row> run(const PlanPtr& node, const TableSource& tables,
       const Schema& child = node->children[0]->output_schema;
       BoundExpr filter;
       if (node->filter) filter = BoundExpr(node->filter, child);
-      auto projections = bind_all(node->projections, child);
-      return filter_project(in, node->filter ? &filter : nullptr, projections);
+      filter_project(view_of(in), &filter, bind_all(node->projections, child),
+                     out);
+      return out;
     }
     case PlanKind::Join: {
       auto left = run(node->children[0], tables, stats);
       auto right = run(node->children[1], tables, stats);
       stats.rows_processed += left.size() + right.size();
-      return hash_join(*node, left, right);
+      hash_join(GroupJoinSpec(*node), view_of(left), view_of(right), out);
+      return out;
     }
     case PlanKind::Agg: {
       auto in = run(node->children[0], tables, stats);
       stats.rows_processed += in.size();
-      return aggregate_rows(*node, in);
+      aggregate_rows(BoundAgg(*node), view_of(in), out);
+      return out;
     }
     case PlanKind::Sort: {
       auto in = run(node->children[0], tables, stats);
       stats.rows_processed += in.size();
-      return sort_rows(*node, std::move(in));
+      sort_rows(BoundSort(*node), view_of(in), out);
+      return out;
     }
   }
   throw InternalError("refdb: unknown plan kind");

@@ -135,6 +135,25 @@ TEST(AggState, PartialOfEmptyState) {
   EXPECT_TRUE(dst.result().is_null());
 }
 
+// A reset state behaves like a fresh one: a reused state carries nothing
+// over from the group it served before.
+TEST(AggState, ResetEqualsFresh) {
+  for (const auto& c : {call("count"), call("count", true), call("sum"),
+                        call("avg"), call("min"), call("max")}) {
+    SCOPED_TRACE(c.func + (c.distinct ? " distinct" : ""));
+    AggState reused(c), fresh(c);
+    for (const Value& v : {Value{0.5}, Value{-3}, Value{100}}) reused.add(v);
+    reused.reset();
+    EXPECT_EQ(reused.result().is_null(), fresh.result().is_null());
+    for (int v : {4, 7, 7}) {
+      reused.add(Value{v});
+      fresh.add(Value{v});
+    }
+    EXPECT_EQ(reused.result().type(), fresh.result().type());
+    EXPECT_EQ(reused.result().compare(fresh.result()), std::strong_ordering::equal);
+  }
+}
+
 TEST(AggState, DistinctHasNoFixedPartial) {
   AggState s(call("count", true));
   EXPECT_EQ(s.partial_arity(), AggState::kVariableArity);

@@ -1,11 +1,19 @@
 // Unit tests for the Common MapReduce Framework against hand-built
 // TranslatedJobs: tag visibility, value dispatch, post-job computations,
 // multi-output behaviour, the CombineAgg fast path, and the checks that
-// guard malformed job descriptions.
+// guard malformed job descriptions, and a bound on the allocations the
+// common reducer makes per value it reduces.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+
+#include "api/database.h"
 #include "cmf/common_job.h"
 #include "common/error.h"
+#include "common/prof_counters.h"
+#include "data/queries.h"
+#include "data/tpch_gen.h"
 #include "mr/engine.h"
 #include "plan/builder.h"
 #include "sql/parser.h"
@@ -186,6 +194,117 @@ TEST_F(CmfTest, NonDenseSourceTagsRejected) {
   job.stages = {st};
   job.outputs = {JobOutput{"/out/x", agg->output_schema}};
   EXPECT_THROW(build_common_job(job, profile_, dfs_), InternalError);
+}
+
+TEST_F(CmfTest, StageInputsMustNameKnownConsumersAndEarlierStages) {
+  auto agg = plan_query("SELECT k, sum(v) AS s FROM t GROUP BY k", catalog_);
+  PlanPtr sp = std::make_shared<PlanNode>();
+  sp->kind = PlanKind::SP;
+  sp->children = {agg};
+  sp->output_schema = agg->output_schema;
+  auto job_with = [&](Stage::In agg_in, int agg_output) {
+    TranslatedJob job;
+    job.name = "bad-inputs";
+    job.input_files.push_back(InputFile{"/tables/t", Schema{}});
+    Emission e;
+    e.input_file = 0;
+    e.source_tag = 0;
+    e.key_exprs = {Expr::make_column("k")};
+    e.value_exprs = {Expr::make_column("k"), Expr::make_column("v")};
+    e.consumers.push_back(Emission::Consumer{0, nullptr});
+    job.emissions.push_back(e);
+    Stage s0;
+    s0.op = agg.get();
+    s0.inputs = {agg_in};
+    s0.output_index = agg_output;
+    Stage s1;
+    s1.op = sp.get();
+    s1.inputs = {Stage::In{false, 0}};
+    s1.output_index = agg_output + 1;
+    job.stages = {s0, s1};
+    for (int i = 0; i <= agg_output + 1; ++i)
+      job.outputs.push_back(
+          JobOutput{"/out/bad" + std::to_string(i), agg->output_schema});
+    return job;
+  };
+  EXPECT_NO_THROW(build_common_job(job_with(Stage::In{true, 0}, -1), profile_, dfs_));
+  // Consumer 3 is emitted by no emission.
+  EXPECT_THROW(build_common_job(job_with(Stage::In{true, 3}, -1), profile_, dfs_),
+               InternalError);
+  // The SP stage reads stage 0, whose rows stage 0 writes to its output.
+  EXPECT_THROW(build_common_job(job_with(Stage::In{true, 0}, 0), profile_, dfs_),
+               InternalError);
+}
+
+// ---- allocations of the common reducer ----
+
+/// Allocations made inside the reduce calls of every task of a job, and
+/// the values those calls were given. Reduce tasks run concurrently.
+struct ReduceAllocs {
+  std::atomic<std::uint64_t> allocs{0};
+  std::atomic<std::uint64_t> values{0};
+};
+
+/// Forwards to the wrapped reducer, counting around each reduce call with
+/// thread-counter deltas, as the host-time benchmark's ledger does.
+class AllocCountingReducer final : public Reducer {
+ public:
+  AllocCountingReducer(std::unique_ptr<Reducer> inner, ReduceAllocs& totals)
+      : inner_(std::move(inner)), totals_(totals) {}
+
+  void reduce(const Row& key, std::span<const KeyValue> values,
+              ReduceEmitter& out) override {
+    const std::uint64_t before = prof::thread_snapshot().allocs;
+    inner_->reduce(key, values, out);
+    totals_.allocs += prof::thread_snapshot().allocs - before;
+    totals_.values += values.size();
+  }
+
+ private:
+  std::unique_ptr<Reducer> inner_;
+  ReduceAllocs& totals_;
+};
+
+// The common reducer reads each key group through row views, so its
+// allocations are its output rows and a few per-group states, not copies
+// of the values: fig09's Q21 sub-tree, one job with five merged stages,
+// stays within 3 allocations per reduced value. A reducer that copies
+// each value into per-consumer vectors and binds its stages per key group
+// makes about 17.
+TEST(CmfReduceAllocations, Q21SubtreeAtMostThreePerValue) {
+  Database db(ClusterConfig::small_local(/*sim_scale=*/50));
+  TpchConfig tc;
+  tc.orders = 1200;
+  tc.parts = 300;
+  tc.customers = 250;
+  tc.suppliers = 40;
+  const TpchData tpch = generate_tpch(tc);
+  db.create_table("lineitem", tpch.lineitem);
+  db.create_table("orders", tpch.orders);
+  db.create_table("part", tpch.part);
+  db.create_table("customer", tpch.customer);
+  db.create_table("supplier", tpch.supplier);
+  db.create_table("nation", tpch.nation);
+
+  const TranslatorProfile profile = TranslatorProfile::ysmart();
+  const TranslatedQuery tq =
+      db.translate_query(queries::q21_subtree().sql, profile);
+  ASSERT_EQ(tq.jobs.size(), 1u);
+  ASSERT_EQ(tq.jobs[0].stages.size(), 5u);
+
+  MRJobSpec spec = build_common_job(tq.jobs[0], profile, db.dfs());
+  ReduceAllocs totals;
+  spec.make_reducer = [inner = std::move(spec.make_reducer), &totals] {
+    return std::make_unique<AllocCountingReducer>(inner(), totals);
+  };
+  prof::acquire_enabled();
+  const JobMetrics m = db.engine().run(spec);
+  prof::release_enabled();
+  ASSERT_FALSE(m.failed);
+  ASSERT_GT(totals.values.load(), 0u);
+  EXPECT_LE(totals.allocs.load(), 3 * totals.values.load())
+      << totals.allocs.load() << " allocations for " << totals.values.load()
+      << " values";
 }
 
 }  // namespace

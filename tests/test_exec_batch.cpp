@@ -7,7 +7,9 @@
 //     BoundExpr::eval reference on the same random data.
 //   - The reconciled dispatch counters (kRowsEvaluated, kAggUpdates)
 //     advance by exactly the same totals through the batched operators as
-//     through the row path.
+//     through the row path, on row views over non-contiguous rows at the
+//     sizes around kKernelMinRows, where the operators switch between
+//     the row loop and the kernels.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -264,40 +266,60 @@ std::uint64_t counter_delta(const prof::ThreadCounters& before,
   return after.dispatch[c] - before.dispatch[c];
 }
 
-TEST(BatchedOperators, FilterProjectMatchesRowPathAndCounters) {
-  const Schema schema = test_schema();
-  Rng rng(2024);
-  const auto rows = random_rows(rng, ColumnBatch::kBatchRows * 2 + 177);
-  BoundExpr filter(parse_expression("a < b and c <> ''"), schema);
-  auto projections = bind_all(
-      {parse_expression("a + d"), parse_expression("b * 2"),
-       parse_expression("m"), parse_expression("c")},
-      schema);
-
+/// Runs `op` (which appends an operator's output to the vector it is
+/// given) with the kernels on and then off. The rows must be
+/// bit-identical and the reconciled counters must advance by the same
+/// totals in both modes.
+template <class Op>
+void expect_modes_agree(const Op& op, const std::string& what) {
   prof::acquire_enabled();
   const auto s0 = prof::thread_snapshot();
   std::vector<Row> vec_out;
   {
     ScopedVectorized on(true);
-    vec_out = filter_project(rows, &filter, projections);
+    op(vec_out);
   }
   const auto s1 = prof::thread_snapshot();
   std::vector<Row> row_out;
   {
     ScopedVectorized off(false);
-    row_out = filter_project(rows, &filter, projections);
+    op(row_out);
   }
   const auto s2 = prof::thread_snapshot();
   prof::release_enabled();
 
-  ASSERT_EQ(vec_out.size(), row_out.size());
+  ASSERT_EQ(vec_out.size(), row_out.size()) << what;
   for (std::size_t i = 0; i < vec_out.size(); ++i)
-    EXPECT_TRUE(rows_bit_identical(vec_out[i], row_out[i])) << "row " << i;
-  // Reconciled counters must advance identically in both modes.
+    EXPECT_TRUE(rows_bit_identical(vec_out[i], row_out[i]))
+        << what << " row " << i;
   for (int c : {prof::kRowsEvaluated, prof::kAggUpdates, prof::kOperatorRows,
                 prof::kCellsEncoded, prof::kCellsDecoded})
     EXPECT_EQ(counter_delta(s0, s1, c), counter_delta(s1, s2, c))
-        << prof::counter_name(c);
+        << what << " " << prof::counter_name(c);
+}
+
+/// Descends first children from `root` to the first node of `kind`.
+const PlanNode& node_of_kind(const PlanPtr& root, PlanKind kind) {
+  const PlanNode* n = root.get();
+  while (n->kind != kind) n = n->children.at(0).get();
+  return *n;
+}
+
+TEST(BatchedOperators, FilterProjectMatchesRowPathAndCounters) {
+  const Schema schema = test_schema();
+  Rng rng(2024);
+  const auto rows = random_rows(rng, ColumnBatch::kBatchRows * 2 + 177);
+  const auto view = view_of(rows);
+  BoundExpr filter(parse_expression("a < b and c <> ''"), schema);
+  auto projections = bind_all(
+      {parse_expression("a + d"), parse_expression("b * 2"),
+       parse_expression("m"), parse_expression("c")},
+      schema);
+  expect_modes_agree(
+      [&](std::vector<Row>& out) {
+        filter_project(view, &filter, projections, out);
+      },
+      "filter_project");
 }
 
 TEST(BatchedOperators, AggregateRowsMatchesRowPathAndCounters) {
@@ -307,32 +329,197 @@ TEST(BatchedOperators, AggregateRowsMatchesRowPathAndCounters) {
       "SELECT a, count(*) AS n, sum(b) AS s, avg(d) AS v, min(b) AS lo, "
       "max(m) AS hi, count(distinct c) AS u FROM t GROUP BY a",
       cat);
+  const BoundAgg agg(node_of_kind(plan, PlanKind::Agg));
   Rng rng(31337);
   const auto rows = random_rows(rng, ColumnBatch::kBatchRows + 321);
+  const auto view = view_of(rows);
+  expect_modes_agree(
+      [&](std::vector<Row>& out) { aggregate_rows(agg, view, out); },
+      "aggregate_rows");
+}
 
-  prof::acquire_enabled();
-  const auto s0 = prof::thread_snapshot();
-  std::vector<Row> vec_out;
-  {
-    ScopedVectorized on(true);
-    vec_out = aggregate_rows(*plan, rows);
-  }
-  const auto s1 = prof::thread_snapshot();
-  std::vector<Row> row_out;
-  {
-    ScopedVectorized off(false);
-    row_out = aggregate_rows(*plan, rows);
-  }
-  const auto s2 = prof::thread_snapshot();
-  prof::release_enabled();
+// ------------------ row views around the kernel threshold ------------------
 
-  ASSERT_EQ(vec_out.size(), row_out.size());
-  for (std::size_t i = 0; i < vec_out.size(); ++i)
-    EXPECT_TRUE(rows_bit_identical(vec_out[i], row_out[i])) << "row " << i;
-  for (int c : {prof::kRowsEvaluated, prof::kAggUpdates, prof::kOperatorRows,
-                prof::kCellsEncoded, prof::kCellsDecoded})
-    EXPECT_EQ(counter_delta(s0, s1, c), counter_delta(s1, s2, c))
-        << prof::counter_name(c);
+/// The last input size the row loop takes, and the first two the kernels
+/// take.
+constexpr std::size_t kViewSizes[] = {kKernelMinRows - 1, kKernelMinRows,
+                                      kKernelMinRows + 1};
+
+/// Every other row of `rows`, back to front: a view whose rows are
+/// neither adjacent in memory nor in their owner's order.
+std::vector<const Row*> scattered_view(const std::vector<Row>& rows) {
+  std::vector<const Row*> view;
+  for (std::size_t i = rows.size(); i >= 2; i -= 2) view.push_back(&rows[i - 1]);
+  return view;
+}
+
+TEST(ColumnBatchRoundTrip, ViewBatchMatchesSpanBatch) {
+  Rng rng(4242);
+  const auto rows = random_rows(rng, 2 * ColumnBatch::kBatchRows);
+  const auto view = scattered_view(rows);
+  std::vector<Row> copy;
+  for (const Row* r : view) copy.push_back(*r);
+  ColumnBatch by_view{std::span<const Row* const>(view)};
+  ColumnBatch by_span{std::span<const Row>(copy)};
+  ASSERT_EQ(by_view.rows(), by_span.rows());
+  ASSERT_EQ(by_view.columns(), by_span.columns());
+  for (std::size_t c = 0; c < by_view.columns(); ++c)
+    EXPECT_EQ(by_view.column(c).type(), by_span.column(c).type()) << c;
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    EXPECT_EQ(&by_view.source_row(i), view[i]);
+    EXPECT_TRUE(rows_bit_identical(by_view.materialize_row(i), *view[i]));
+    EXPECT_TRUE(rows_bit_identical(by_span.materialize_row(i), *view[i]));
+  }
+  std::vector<std::uint32_t> odd;
+  for (std::uint32_t i = 1; i < view.size(); i += 2) odd.push_back(i);
+  ColumnBatch sel = by_view.select(odd);
+  ASSERT_EQ(sel.rows(), odd.size());
+  for (std::size_t i = 0; i < odd.size(); ++i) {
+    EXPECT_EQ(&sel.source_row(i), view[odd[i]]);
+    EXPECT_TRUE(rows_bit_identical(sel.materialize_row(i), *view[odd[i]]));
+  }
+}
+
+TEST(RowViewOperators, FilterProject) {
+  const Schema schema = test_schema();
+  BoundExpr filter(parse_expression("a < b and c <> ''"), schema);
+  const auto projections = bind_all(
+      {parse_expression("a + d"), parse_expression("b * 2"),
+       parse_expression("m"), parse_expression("c")},
+      schema);
+  Rng rng(61);
+  for (const std::size_t n : kViewSizes) {
+    const auto rows = random_rows(rng, 2 * n);
+    const auto view = scattered_view(rows);
+    const std::string at = " n=" + std::to_string(n);
+    expect_modes_agree(
+        [&](std::vector<Row>& out) {
+          filter_project(view, &filter, projections, out);
+        },
+        "filter+project" + at);
+    expect_modes_agree(
+        [&](std::vector<Row>& out) { filter_project(view, &filter, {}, out); },
+        "filter only" + at);
+    expect_modes_agree(
+        [&](std::vector<Row>& out) {
+          filter_project(view, nullptr, projections, out);
+        },
+        "project only" + at);
+  }
+}
+
+TEST(RowViewOperators, JoinGroupEveryTypeWithNullKeys) {
+  // Join key a is 0, 1 or NULL, so the group cross-matches heavily and
+  // the NULL-keyed rows surface only through outer-join padding.
+  Rng rng(62);
+  auto join_rows = [&](std::size_t n) {
+    auto rows = random_rows(rng, n);
+    for (Row& r : rows)
+      r[0] = rng.uniform(0, 3) == 0 ? Value::null() : Value{rng.uniform(0, 1)};
+    return rows;
+  };
+  const Schema combined = Schema::concat(test_schema().qualified("l"),
+                                         test_schema().qualified("r"));
+  for (const JoinType type :
+       {JoinType::Inner, JoinType::Left, JoinType::Right, JoinType::Full}) {
+    GroupJoinSpec spec;
+    spec.type = type;
+    spec.left_width = spec.right_width = test_schema().size();
+    spec.left_key_idx = {0};
+    spec.right_key_idx = {0};
+    spec.residual =
+        BoundExpr(parse_expression("l.d < r.d or r.a is null"), combined);
+    spec.projections = bind_all(
+        {parse_expression("l.a"), parse_expression("r.c"),
+         parse_expression("l.b + r.d")},
+        combined);
+    for (const std::size_t n : kViewSizes) {
+      const auto left = join_rows(2 * n);
+      const auto right = join_rows(2 * n);
+      const auto lv = scattered_view(left);
+      const auto rv = scattered_view(right);
+      Row joined;
+      expect_modes_agree(
+          [&](std::vector<Row>& out) { join_group(spec, lv, rv, out, joined); },
+          "join type " + std::to_string(static_cast<int>(type)) + " n=" +
+              std::to_string(n));
+    }
+  }
+}
+
+TEST(RowViewOperators, Aggregation) {
+  Catalog cat;
+  cat.register_table("t", test_schema());
+  const char* const queries[] = {
+      // b carries NaN cells: a NaN group key sends the kernels' caller
+      // to the row loop wholesale.
+      "SELECT b, count(*) AS n, sum(a) AS s FROM t GROUP BY b",
+      // int keys, count distinct and HAVING
+      "SELECT a, count(*) AS n, count(distinct c) AS u, max(m) AS hi "
+      "FROM t GROUP BY a HAVING n > 1",
+      // string keys
+      "SELECT c, avg(b) AS v, min(d) AS lo FROM t GROUP BY c",
+      // global aggregation
+      "SELECT count(*) AS n, sum(b) AS s, count(distinct a) AS u FROM t",
+  };
+  Rng rng(63);
+  for (const char* sql : queries) {
+    const PlanPtr plan = plan_query(sql, cat);
+    const BoundAgg agg(node_of_kind(plan, PlanKind::Agg));
+    for (const std::size_t n : kViewSizes) {
+      const auto rows = random_rows(rng, 2 * n);
+      const auto view = scattered_view(rows);
+      expect_modes_agree(
+          [&](std::vector<Row>& out) { aggregate_rows(agg, view, out); },
+          std::string(sql) + " n=" + std::to_string(n));
+    }
+  }
+  // Every row has one group key, as in a reduce key group whose
+  // partition key is the group key: the row loop skips its map there.
+  const PlanPtr keyed_plan = plan_query(queries[1], cat);
+  const BoundAgg keyed(node_of_kind(keyed_plan, PlanKind::Agg));
+  for (const std::size_t n : kViewSizes) {
+    auto rows = random_rows(rng, 2 * n);
+    for (Row& r : rows) r[0] = Value{7};
+    const auto view = scattered_view(rows);
+    expect_modes_agree(
+        [&](std::vector<Row>& out) {
+          aggregate_rows(keyed, view, out);
+          EXPECT_EQ(out.size(), 1u);
+        },
+        "one group key n=" + std::to_string(n));
+  }
+  // Global aggregation over empty input still yields its one row.
+  const PlanPtr global = plan_query(queries[3], cat);
+  const BoundAgg agg(node_of_kind(global, PlanKind::Agg));
+  expect_modes_agree(
+      [&](std::vector<Row>& out) {
+        aggregate_rows(agg, RowView{}, out);
+        ASSERT_EQ(out.size(), 1u);
+        EXPECT_EQ(out[0][0].as_int(), 0);
+      },
+      "global agg over empty input");
+}
+
+TEST(RowViewOperators, SortStringKeysWithLimit) {
+  Catalog cat;
+  cat.register_table("t", test_schema());
+  const PlanPtr plan = plan_query(
+      "SELECT a, d, b, c, m FROM t ORDER BY c DESC, a LIMIT 10", cat);
+  const BoundSort sort(node_of_kind(plan, PlanKind::Sort));
+  Rng rng(64);
+  for (const std::size_t n : kViewSizes) {
+    const auto rows = random_rows(rng, 2 * n);
+    const auto view = scattered_view(rows);
+    expect_modes_agree(
+        [&](std::vector<Row>& out) {
+          sort_rows(sort, view, out);
+          ASSERT_EQ(out.size(), 10u);
+          for (std::size_t i = 1; i < out.size(); ++i)
+            EXPECT_FALSE(out[i - 1][3] < out[i][3]) << "row " << i;
+        },
+        "sort n=" + std::to_string(n));
+  }
 }
 
 // Typed aggregate adds must be state-identical to add(Value): feed the

@@ -17,6 +17,44 @@ Schema xy() {
   return s;
 }
 
+// Whole-vector wrappers over the row-view operators.
+
+std::vector<Row> filter_project(const std::vector<Row>& in,
+                                const BoundExpr* filter,
+                                const std::vector<BoundExpr>& projections) {
+  std::vector<Row> out;
+  ysmart::filter_project(view_of(in), filter, projections, out);
+  return out;
+}
+
+std::vector<Row> join_group(const GroupJoinSpec& spec,
+                            const std::vector<Row>& left,
+                            const std::vector<Row>& right) {
+  std::vector<Row> out;
+  Row joined;
+  ysmart::join_group(spec, view_of(left), view_of(right), out, joined);
+  return out;
+}
+
+std::vector<Row> hash_join(const PlanNode& join, const std::vector<Row>& left,
+                           const std::vector<Row>& right) {
+  std::vector<Row> out;
+  ysmart::hash_join(GroupJoinSpec(join), view_of(left), view_of(right), out);
+  return out;
+}
+
+std::vector<Row> aggregate_rows(const PlanNode& agg, const std::vector<Row>& in) {
+  std::vector<Row> out;
+  ysmart::aggregate_rows(BoundAgg(agg), view_of(in), out);
+  return out;
+}
+
+std::vector<Row> sort_rows(const PlanNode& sort, const std::vector<Row>& in) {
+  std::vector<Row> out;
+  ysmart::sort_rows(BoundSort(sort), view_of(in), out);
+  return out;
+}
+
 TEST(FilterProject, FilterOnly) {
   BoundExpr f(parse_expression("x > 1"), xy());
   auto out = filter_project({{Value{1}, Value{10}}, {Value{2}, Value{20}}},
@@ -105,8 +143,7 @@ TEST(GroupJoin, ResidualAppliesAfterPadding) {
   combined.add("a", ValueType::Int);
   combined.add("rk", ValueType::Int);
   combined.add("b", ValueType::Int);
-  BoundExpr residual(parse_expression("rk IS NULL"), combined);
-  f.spec.residual = &residual;
+  f.spec.residual = BoundExpr(parse_expression("rk IS NULL"), combined);
   auto out = join_group(f.spec,
                         {{Value{1}, Value{10}}, {Value{2}, Value{11}}},
                         {{Value{1}, Value{20}}});
@@ -121,8 +158,7 @@ TEST(GroupJoin, ProjectionsShapeOutput) {
   combined.add("a", ValueType::Int);
   combined.add("rk", ValueType::Int);
   combined.add("b", ValueType::Int);
-  auto projections = bind_all({parse_expression("a + b")}, combined);
-  f.spec.projections = &projections;
+  f.spec.projections = bind_all({parse_expression("a + b")}, combined);
   auto out = join_group(f.spec, {{Value{1}, Value{10}}}, {{Value{1}, Value{20}}});
   ASSERT_EQ(out.size(), 1u);
   ASSERT_EQ(out[0].size(), 1u);

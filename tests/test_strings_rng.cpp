@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -59,6 +61,31 @@ TEST(Rng, UniformInRange) {
 TEST(Rng, UniformSingletonRange) {
   Rng r(7);
   EXPECT_EQ(r.uniform(5, 5), 5);
+}
+
+// Ranges whose width or offsets overflow int64: the full range returns
+// the raw draw, and the others stay inside their bounds (these ran into
+// signed overflow when computed in int64).
+TEST(Rng, UniformFullAndWideRanges) {
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  Rng r(13), twin(13);
+  for (int i = 0; i < 100; ++i)
+    EXPECT_EQ(r.uniform(kMin, kMax), static_cast<std::int64_t>(twin.next()));
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_LE(r.uniform(kMin, kMax - 1), kMax - 1);
+    EXPECT_LE(r.uniform(kMin, 0), 0);
+    EXPECT_GE(r.uniform(-1, kMax), -1);
+    EXPECT_GE(r.uniform(kMax - 1, kMax), kMax - 1);
+  }
+}
+
+// Narrow ranges draw lo + next() % width, the values the data
+// generators have always produced.
+TEST(Rng, UniformNarrowRangeValuesAreStable) {
+  Rng r(7), twin(7);
+  for (int i = 0; i < 100; ++i)
+    EXPECT_EQ(r.uniform(-3, 9), -3 + static_cast<std::int64_t>(twin.next() % 13));
 }
 
 TEST(Rng, UniformRejectsInverted) {
