@@ -13,7 +13,10 @@
 // (size, mode); wall_ms is the phase total, and the simulated metrics
 // come from running an equivalent workload through the engine (identical
 // in both modes — the knob never touches the simulation, pinned by
-// tests/test_robustness.cpp).
+// tests/test_robustness.cpp). The two modes' output rows of every phase
+// must agree bit for bit; the bench exits non-zero when they do not.
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -69,37 +72,69 @@ std::vector<Row> make_rows(std::size_t n) {
   return rows;
 }
 
-struct PhaseTimes {
+struct PhaseRun {
   double filter_ms = 0;
   double project_ms = 0;
   double agg_ms = 0;
-  std::size_t check = 0;  // keeps the work observable
+  std::vector<Row> filtered, projected, grouped;  // each phase's output
   double total_ms() const { return filter_ms + project_ms + agg_ms; }
 };
 
 /// Time one pass of the three operator shapes over `rows` under the
 /// currently-set execution mode.
-PhaseTimes time_phases(RowView rows, const BoundExpr& filter,
-                       const std::vector<BoundExpr>& projections,
-                       const BoundAgg& agg) {
-  PhaseTimes t;
+PhaseRun time_phases(RowView rows, const BoundExpr& filter,
+                     const std::vector<BoundExpr>& projections,
+                     const BoundAgg& agg) {
+  PhaseRun t;
   double t0 = now_ms();
-  std::vector<Row> filtered;
-  filter_project(rows, &filter, {}, filtered);
+  filter_project(rows, &filter, {}, t.filtered);
   t.filter_ms = now_ms() - t0;
 
   t0 = now_ms();
-  std::vector<Row> projected;
-  filter_project(rows, &filter, projections, projected);
+  filter_project(rows, &filter, projections, t.projected);
   t.project_ms = now_ms() - t0;
 
   t0 = now_ms();
-  std::vector<Row> grouped;
-  aggregate_rows(agg, rows, grouped);
+  aggregate_rows(agg, rows, t.grouped);
   t.agg_ms = now_ms() - t0;
-
-  t.check = filtered.size() + projected.size() + grouped.size();
   return t;
+}
+
+/// Same type, and for doubles the same bits (NaN payloads, -0.0).
+bool bit_identical(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case ValueType::Null: return true;
+    case ValueType::Int: return a.as_int() == b.as_int();
+    case ValueType::Double:
+      return std::bit_cast<std::uint64_t>(a.as_double()) ==
+             std::bit_cast<std::uint64_t>(b.as_double());
+    case ValueType::String: return a.as_string() == b.as_string();
+  }
+  return false;
+}
+
+/// Prints the first difference between the two modes' output of one
+/// phase; true when they agree row for row, bit for bit.
+bool outputs_agree(const char* phase, std::size_t n, const std::vector<Row>& vec,
+                   const std::vector<Row>& row) {
+  if (vec.size() != row.size()) {
+    std::printf("ERROR: %zu rows, %s: vec mode output %zu rows, row mode %zu\n",
+                n, phase, vec.size(), row.size());
+    return false;
+  }
+  for (std::size_t i = 0; i < vec.size(); ++i) {
+    const bool same =
+        vec[i].size() == row[i].size() &&
+        std::equal(vec[i].begin(), vec[i].end(), row[i].begin(), bit_identical);
+    if (!same) {
+      std::printf("ERROR: %zu rows, %s: row %zu differs: vec %s, row %s\n", n,
+                  phase, i, row_to_string(vec[i]).c_str(),
+                  row_to_string(row[i]).c_str());
+      return false;
+    }
+  }
+  return true;
 }
 
 /// Run an equivalent filter + grouped-sum job through the engine so the
@@ -186,19 +221,20 @@ int main(int argc, char** argv) {
   const BoundAgg agg(*agg_node);
 
   const bool saved = vectorized_enabled();
+  bool agree = true;
   std::printf("%10s %5s %10s %10s %10s %10s\n", "rows", "mode", "filter ms",
               "project ms", "agg ms", "total ms");
   for (const std::size_t n : kSizes) {
     const auto rows = make_rows(n);
     const auto view = view_of(rows);
     const QueryMetrics sim = engine_metrics(rows);
-    PhaseTimes best[2];
+    PhaseRun best[2];
     for (const bool vec : {true, false}) {
       set_vectorized_enabled(vec);
-      PhaseTimes& t = best[vec ? 0 : 1];
+      PhaseRun& t = best[vec ? 0 : 1];
       for (int rep = 0; rep < kReps; ++rep) {
-        const PhaseTimes cur = time_phases(view, filter, projections, agg);
-        if (rep == 0 || cur.total_ms() < t.total_ms()) t = cur;
+        PhaseRun cur = time_phases(view, filter, projections, agg);
+        if (rep == 0 || cur.total_ms() < t.total_ms()) t = std::move(cur);
       }
       std::printf("%10zu %5s %10.2f %10.2f %10.2f %10.2f\n", n,
                   vec ? "vec" : "row", t.filter_ms, t.project_ms, t.agg_ms,
@@ -206,9 +242,9 @@ int main(int argc, char** argv) {
       report.record("exec-" + std::to_string(n), vec ? "vec" : "row", sim,
                     t.total_ms());
     }
-    if (best[0].check != best[1].check)
-      std::printf("WARNING: mode outputs disagree (%zu vs %zu)\n",
-                  best[0].check, best[1].check);
+    agree &= outputs_agree("filter", n, best[0].filtered, best[1].filtered);
+    agree &= outputs_agree("project", n, best[0].projected, best[1].projected);
+    agree &= outputs_agree("aggregate", n, best[0].grouped, best[1].grouped);
     std::printf("%10s %5s speedup vec vs row: %.2fx (filter %.2fx, project "
                 "%.2fx, agg %.2fx)\n",
                 "", "", best[1].total_ms() / best[0].total_ms(),
@@ -217,5 +253,6 @@ int main(int argc, char** argv) {
                 best[1].agg_ms / best[0].agg_ms);
   }
   set_vectorized_enabled(saved);
-  return 0;
+  // The modes must compute the same rows; a difference fails the run.
+  return agree ? 0 : 1;
 }

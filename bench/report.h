@@ -33,13 +33,13 @@
 //
 // Host profiling: whenever --json or --folded is requested (and
 // YSMART_PROFILE is not "off"), the host profiler is enabled and each
-// --json record gains a "host_phases" section — per-phase host CPU,
-// per-chunk wall, allocation counts and dispatch counters, with its own
-// schema_version (see obs/profiler.h). --folded <path> writes the whole
-// bench's folded-stack flamegraph (pipe through flamegraph.pl). Host
-// numbers are informational: only simulated values are gated. Without
-// flags the benches behave exactly as before: no observer is attached
-// and nothing is written.
+// --json record whose run the profiler saw gains a "host_phases"
+// section — per-phase host CPU, per-chunk wall, allocation counts and
+// dispatch counters, with its own schema_version (see obs/profiler.h).
+// --folded <path> writes the whole bench's folded-stack flamegraph
+// (pipe through flamegraph.pl). Host numbers are informational: only
+// simulated values are gated. Without flags the benches behave exactly
+// as before: no observer is attached and nothing is written.
 #pragma once
 
 #include <chrono>
@@ -176,10 +176,13 @@ class Report {
     }
     if (host_profiling_) {
       // Slice out just the phases (and process CPU) recorded since the
-      // previous record, so each record's host_phases covers one run.
+      // previous record, so each record's host_phases covers one run. A
+      // record with no profiled phase since then (a bench that timed
+      // its work without running a query) carries no host_phases.
       const std::uint64_t proc = obs_.profiler.process_cpu_ns();
-      r.host_json = obs_.profiler.json(host_phases_upto_,
-                                       proc - host_proc_cpu_upto_);
+      if (obs_.profiler.phase_count() > host_phases_upto_)
+        r.host_json = obs_.profiler.json(host_phases_upto_,
+                                         proc - host_proc_cpu_upto_);
       host_phases_upto_ = obs_.profiler.phase_count();
       host_proc_cpu_upto_ = proc;
     }

@@ -4,14 +4,13 @@
 #include <array>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
 #include "common/error.h"
-#include "common/normkey.h"
 #include "common/strings.h"
 #include "exec/aggregates.h"
 #include "exec/batch.h"
 #include "exec/expr_eval.h"
+#include "exec/hash_agg.h"
 #include "exec/operators.h"
 #include "exec/vector_kernels.h"
 
@@ -61,6 +60,7 @@ struct CompiledJob {
   const PlanNode* combine_agg = nullptr;
   std::vector<BoundExpr> combine_group_exprs;
   std::vector<BoundExpr> combine_arg_exprs;    // unbound slot for star
+  std::size_t combine_partial_arity = 0;       // Values per map-side partial
   BoundExpr combine_filter;
   bool combine_has_filter = false;
   std::vector<BoundExpr> combine_projections;  // over internal schema
@@ -68,6 +68,9 @@ struct CompiledJob {
   bool combine_has_having = false;
 
   bool map_only = false;
+  // Every emission's key is empty: a global aggregation, or a single
+  // reducer fed by one empty key.
+  bool empty_key = false;
 };
 
 // ------------------------------ mappers ------------------------------
@@ -244,142 +247,72 @@ class SpMapper final : public Mapper {
   std::vector<char> ok_;
 };
 
-/// Hash-based map-side partial aggregation (CombineAgg jobs), keyed by
-/// the normalized key bytes (common/normkey.h): one encode plus a string
-/// hash per record instead of the O(log groups) cell-by-cell Row
-/// comparisons the previous std::map paid, and the encoding is handed to
-/// the emitter so the engine never re-encodes these keys.
+/// Map-side partial aggregation (CombineAgg jobs): the scan filter picks
+/// the rows, a HashAggregator (exec/hash_agg.h) groups them by their
+/// normalized key bytes, and finish() emits one partial per group with
+/// those bytes handed to the emitter, so the engine never re-encodes
+/// these keys.
 class CombineAggMapper final : public Mapper {
  public:
   explicit CombineAggMapper(std::shared_ptr<const CompiledJob> cj)
-      : cj_(std::move(cj)) {}
+      : cj_(std::move(cj)),
+        agg_(cj_->combine_group_exprs, cj_->combine_arg_exprs,
+             cj_->combine_agg->aggs) {}
 
   void map(const Row& record, int /*input_tag*/, MapEmitter& /*out*/) override {
     if (cj_->combine_has_filter && !is_true(cj_->combine_filter.eval(record)))
       return;
-    Row key;
-    key.reserve(cj_->combine_group_exprs.size());
-    for (const auto& g : cj_->combine_group_exprs) key.push_back(g.eval(record));
-    norm_scratch_.clear();
-    for (const auto& v : key) append_norm_key(v, norm_scratch_);
-    auto it = groups_.find(norm_scratch_);
-    if (it == groups_.end()) {
-      Group g;
-      g.key = std::move(key);
-      for (const auto& a : cj_->combine_agg->aggs) g.states.emplace_back(a);
-      it = groups_.emplace(norm_scratch_, std::move(g)).first;
-    }
-    const auto& aggs = cj_->combine_agg->aggs;
-    for (std::size_t i = 0; i < aggs.size(); ++i) {
-      if (aggs[i].star)
-        it->second.states[i].add(Value{std::int64_t{1}});
-      else
-        it->second.states[i].add(cj_->combine_arg_exprs[i].eval(record));
-    }
+    agg_.add_row(record);
   }
 
   bool supports_batches() const override { return true; }
 
-  // Batch version: filter, group-key and aggregate-argument expressions
-  // run as kernels over the (selected) batch; the per-record loop only
-  // builds keys, normalizes them (same one append_norm_key per cell —
-  // kCellsEncoded parity) and feeds the typed aggregate adds. Emission
-  // happens in finish(), so record order is irrelevant here beyond
-  // keep-first min/max tie-breaks, which the typed adds preserve.
+  // Emission happens in finish(), so the batch only has to reach the
+  // aggregator with the rows the filter keeps, in order.
   void map_batch(ColumnBatch& batch, int /*input_tag*/,
                  MapEmitter& /*out*/) override {
+    if (!cj_->combine_has_filter) {
+      agg_.add_batch(batch);
+      return;
+    }
     const std::size_t n = batch.rows();
     sel_.clear();
-    if (cj_->combine_has_filter) {
-      BatchVector fv;
-      if (eval_expr_batch(cj_->combine_filter, batch, fv)) {
-        collect_passing(fv, n, sel_);
-      } else {
-        for (std::size_t k = 0; k < n; ++k)
-          if (is_true(cj_->combine_filter.eval(batch.source_row(k))))
-            sel_.push_back(static_cast<std::uint32_t>(k));
-      }
+    BatchVector fv;
+    if (eval_expr_batch(cj_->combine_filter, batch, fv)) {
+      collect_passing(fv, n, sel_);
     } else {
       for (std::size_t k = 0; k < n; ++k)
-        sel_.push_back(static_cast<std::uint32_t>(k));
+        if (is_true(cj_->combine_filter.eval(batch.source_row(k))))
+          sel_.push_back(static_cast<std::uint32_t>(k));
     }
-    if (sel_.empty()) return;
-    ColumnBatch selected = batch.select(sel_);
-    const auto& aggs = cj_->combine_agg->aggs;
-    group_cols_.resize(cj_->combine_group_exprs.size());
-    group_ok_.resize(cj_->combine_group_exprs.size());
-    for (std::size_t j = 0; j < cj_->combine_group_exprs.size(); ++j)
-      group_ok_[j] =
-          eval_expr_batch(cj_->combine_group_exprs[j], selected, group_cols_[j]);
-    arg_cols_.resize(aggs.size());
-    arg_ok_.resize(aggs.size());
-    for (std::size_t i = 0; i < aggs.size(); ++i)
-      arg_ok_[i] = !aggs[i].star && eval_expr_batch(cj_->combine_arg_exprs[i],
-                                                    selected, arg_cols_[i]);
-    for (std::size_t r = 0; r < selected.rows(); ++r) {
-      Row key;
-      key.reserve(cj_->combine_group_exprs.size());
-      for (std::size_t j = 0; j < cj_->combine_group_exprs.size(); ++j)
-        key.push_back(group_ok_[j] ? group_cols_[j].value_at(r)
-                                   : cj_->combine_group_exprs[j].eval(
-                                         selected.source_row(r)));
-      norm_scratch_.clear();
-      for (const auto& v : key) append_norm_key(v, norm_scratch_);
-      auto it = groups_.find(norm_scratch_);
-      if (it == groups_.end()) {
-        Group g;
-        g.key = std::move(key);
-        for (const auto& a : aggs) g.states.emplace_back(a);
-        it = groups_.emplace(norm_scratch_, std::move(g)).first;
-      }
-      for (std::size_t i = 0; i < aggs.size(); ++i) {
-        if (aggs[i].star)
-          it->second.states[i].add(Value{std::int64_t{1}});
-        else if (arg_ok_[i])
-          add_to_agg(it->second.states[i], arg_cols_[i], r);
-        else
-          it->second.states[i].add(
-              cj_->combine_arg_exprs[i].eval(selected.source_row(r)));
-      }
+    if (sel_.size() == n) {
+      agg_.add_batch(batch);  // the filter kept every row
+    } else if (!sel_.empty()) {
+      ColumnBatch selected = batch.select(sel_);
+      agg_.add_batch(selected);
     }
   }
 
+  // Emits in normalized-key byte order, which is exactly compare_rows
+  // order, so the map output does not depend on hash-table layout.
   void finish(MapEmitter& out) override {
-    // Emit in normalized-key byte order — the same order the previous
-    // RowLess-sorted map iterated in (memcmp order over the encoding is
-    // exactly compare_rows order), keeping map output deterministic
-    // across standard-library hash-table implementations.
-    std::vector<decltype(groups_)::value_type*> sorted;
-    sorted.reserve(groups_.size());
-    for (auto& entry : groups_) sorted.push_back(&entry);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto* a, const auto* b) {
-                return norm_key_compare(a->first, b->first) < 0;
-              });
-    for (auto* entry : sorted) {
-      Row partial;
-      for (const auto& s : entry->second.states) s.to_partial(partial);
-      KeyValue kv;
-      kv.key = std::move(entry->second.key);
-      kv.value = std::move(partial);
-      kv.norm_key = entry->first;  // map key is const; one copy per group
-      out.emit(std::move(kv));
-    }
-    groups_.clear();
+    agg_.for_each_in_key_order(
+        [&](std::string_view norm_key, Row& key,
+            std::span<const AggState> states) {
+          KeyValue kv;
+          kv.key = std::move(key);
+          kv.value.reserve(cj_->combine_partial_arity);
+          for (const AggState& s : states) s.to_partial(kv.value);
+          kv.norm_key = norm_key;
+          out.emit(std::move(kv));
+        });
   }
 
  private:
-  struct Group {
-    Row key;
-    std::vector<AggState> states;
-  };
   std::shared_ptr<const CompiledJob> cj_;
-  std::unordered_map<std::string, Group> groups_;
-  std::string norm_scratch_;
+  HashAggregator agg_;
   // Per-batch scratch (a mapper instance serves one map task, serially).
   std::vector<std::uint32_t> sel_;
-  std::vector<BatchVector> group_cols_, arg_cols_;
-  std::vector<char> group_ok_, arg_ok_;
 };
 
 // ------------------------------ reducers ------------------------------
@@ -398,6 +331,7 @@ class CommonReducer final : public Reducer {
 
   void reduce(const Row& /*key*/, std::span<const KeyValue> values,
               ReduceEmitter& out) override {
+    saw_group_ = true;
     // One pass over the value list, handing each value to the merged
     // reducers that can see it (paper Algorithm 1).
     for (auto& rows : consumer_rows_) rows.clear();
@@ -451,8 +385,18 @@ class CommonReducer final : public Reducer {
     }
   }
 
+  // With an empty key and no input anywhere, no group ever reached a
+  // reducer. Running the stages once over the empty group gives what
+  // SQL asks of each: one row from a global aggregation, none from the
+  // rest.
+  void finish(bool empty_key_partition, ReduceEmitter& out) override {
+    if (cj_->empty_key && empty_key_partition && !saw_group_)
+      reduce(Row{}, {}, out);
+  }
+
  private:
   std::shared_ptr<const CompiledJob> cj_;
+  bool saw_group_ = false;
   std::vector<std::vector<const Row*>> consumer_rows_;  // by consumer slot
   std::vector<std::vector<Row>> stage_rows_;            // by stage
   std::vector<std::vector<const Row*>> stage_views_;    // by stage
@@ -470,6 +414,7 @@ class CombineAggReducer final : public Reducer {
 
   void reduce(const Row& key, std::span<const KeyValue> values,
               ReduceEmitter& out) override {
+    saw_group_ = true;
     for (auto& s : states_) s.reset();
     for (const auto& kv : values) {
       std::size_t pos = 0;
@@ -479,6 +424,19 @@ class CombineAggReducer final : public Reducer {
         pos += n;
       }
     }
+    emit_group(key, out);
+  }
+
+  // A global aggregation over no rows still yields one row.
+  void finish(bool empty_key_partition, ReduceEmitter& out) override {
+    if (!cj_->combine_group_exprs.empty() || !empty_key_partition || saw_group_)
+      return;
+    for (auto& s : states_) s.reset();
+    emit_group(Row{}, out);
+  }
+
+ private:
+  void emit_group(const Row& key, ReduceEmitter& out) {
     internal_.assign(key.begin(), key.end());
     for (const auto& s : states_) internal_.push_back(s.result());
     Row o;
@@ -489,8 +447,8 @@ class CombineAggReducer final : public Reducer {
     out.emit_to(0, std::move(o));
   }
 
- private:
   std::shared_ptr<const CompiledJob> cj_;
+  bool saw_group_ = false;
   std::vector<AggState> states_;
   Row internal_;  // group key ‖ aggregate results
 };
@@ -553,6 +511,8 @@ MRJobSpec build_common_job(const TranslatedJob& job,
         cj->combine_arg_exprs.emplace_back();
       else
         cj->combine_arg_exprs.emplace_back(a.arg, fs);
+      cj->combine_partial_arity +=
+          static_cast<std::size_t>(AggState(a).partial_arity());
     }
     cj->combine_projections = bind_all(agg->projections, agg->agg_internal_schema());
     if (agg->filter) {
@@ -571,6 +531,9 @@ MRJobSpec build_common_job(const TranslatedJob& job,
       spec.key_column_names.push_back(k->to_string());
 
   // ---- compile emissions ----
+  cj->empty_key = !job.emissions.empty() &&
+                  std::all_of(job.emissions.begin(), job.emissions.end(),
+                              [](const Emission& e) { return e.key_exprs.empty(); });
   cj->emissions_by_file.resize(job.input_files.size());
   cj->consumer_slot.fill(-1);
   for (const auto& e : job.emissions) {

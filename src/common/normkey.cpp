@@ -40,16 +40,6 @@ constexpr int kExpBias = 1100;
 constexpr unsigned char kStrEscape = 0xFF;
 constexpr unsigned char kStrTerm = 0x01;
 
-void append_u16_be(std::uint16_t u, std::string& out) {
-  out.push_back(static_cast<char>(u >> 8));
-  out.push_back(static_cast<char>(u & 0xFF));
-}
-
-void append_u64_be(std::uint64_t u, std::string& out) {
-  for (int shift = 56; shift >= 0; shift -= 8)
-    out.push_back(static_cast<char>((u >> shift) & 0xFF));
-}
-
 /// Exact binary scientific form of a nonzero finite numeric:
 /// |value| = 1.fraction * 2^exponent, with the fraction bits left-aligned
 /// in 64 bits. Both int64 (<= 63 significant bits) and double (<= 53)
@@ -85,17 +75,29 @@ SciForm sci_from_double(double a) {  // a > 0, finite
   return sci_from_magnitude(mantissa, -1074);
 }
 
+// Appends a numeric cell: the tag, the class byte and the 10-byte payload
+// (big-endian biased exponent, then the fraction), composed in a fixed
+// buffer and appended at once.
 void append_numeric(bool negative, SciForm s, std::string& out) {
-  out.push_back(static_cast<char>(negative ? kNumNeg : kNumPos));
-  std::string payload;
-  payload.reserve(10);
-  append_u16_be(static_cast<std::uint16_t>(s.exponent + kExpBias), payload);
-  append_u64_be(s.fraction, payload);
   // A more negative value has the larger magnitude; inverting the
   // payload bytes reverses the magnitude order under the negative class.
-  if (negative)
-    for (char& c : payload) c = static_cast<char>(~c);
-  out.append(payload);
+  const std::uint64_t flip = negative ? ~std::uint64_t{0} : 0;
+  const auto exponent = static_cast<std::uint16_t>(s.exponent + kExpBias);
+  const std::uint64_t fraction = s.fraction ^ flip;
+  char buf[12];
+  buf[0] = static_cast<char>(kTagNumeric);
+  buf[1] = static_cast<char>(negative ? kNumNeg : kNumPos);
+  buf[2] = static_cast<char>((exponent >> 8) ^ (flip & 0xFF));
+  buf[3] = static_cast<char>((exponent & 0xFF) ^ (flip & 0xFF));
+  for (int i = 0; i < 8; ++i)
+    buf[4 + i] = static_cast<char>((fraction >> (56 - 8 * i)) & 0xFF);
+  out.append(buf, sizeof buf);
+}
+
+/// A numeric cell without payload: the tag and the class byte.
+void append_numeric_class(unsigned char cls, std::string& out) {
+  const char buf[2] = {static_cast<char>(kTagNumeric), static_cast<char>(cls)};
+  out.append(buf, sizeof buf);
 }
 
 [[noreturn]] void corrupt(const char* what, std::size_t pos) {
@@ -183,60 +185,57 @@ Value decode_cell(const std::string& in, std::size_t& pos) {
 
 }  // namespace
 
-void append_norm_key(const Value& v, std::string& out) {
+void append_norm_key_null(std::string& out) {
   prof::count(prof::kCellsEncoded);
+  out.push_back(static_cast<char>(kTagNull));
+}
+
+void append_norm_key_int(std::int64_t i, std::string& out) {
+  prof::count(prof::kCellsEncoded);
+  if (i == 0) return append_numeric_class(kNumZero, out);
+  const bool negative = i < 0;
+  // 0 - u negates without overflowing on int64 min.
+  const std::uint64_t u = static_cast<std::uint64_t>(i);
+  const std::uint64_t mag = negative ? std::uint64_t{0} - u : u;
+  append_numeric(negative, sci_from_int(mag), out);
+}
+
+void append_norm_key_double(double d, std::string& out) {
+  prof::count(prof::kCellsEncoded);
+  // compare_rows treats NaN as incomparable ("equal" to any numeric); the
+  // encoding gives it a defined slot above +inf so the byte order stays
+  // total. SQL expressions never produce NaN keys, so the difference is
+  // unobservable in the engine.
+  if (std::isnan(d)) return append_numeric_class(kNumNan, out);
+  if (std::isinf(d))
+    return append_numeric_class(d < 0 ? kNumNegInf : kNumPosInf, out);
+  // +0.0 and -0.0 compare equal: one encoding.
+  if (d == 0.0) return append_numeric_class(kNumZero, out);
+  const bool negative = std::signbit(d);
+  append_numeric(negative, sci_from_double(std::fabs(d)), out);
+}
+
+void append_norm_key_string(std::string_view s, std::string& out) {
+  prof::count(prof::kCellsEncoded);
+  out.push_back(static_cast<char>(kTagString));
+  // Copy the runs between embedded NULs whole; each NUL gains its escape.
+  for (std::size_t z = s.find('\0'); z != std::string_view::npos;
+       z = s.find('\0')) {
+    out.append(s.data(), z + 1);
+    out.push_back(static_cast<char>(kStrEscape));
+    s.remove_prefix(z + 1);
+  }
+  out.append(s);
+  out.push_back('\0');
+  out.push_back(static_cast<char>(kStrTerm));
+}
+
+void append_norm_key(const Value& v, std::string& out) {
   switch (v.type()) {
-    case ValueType::Null:
-      out.push_back(static_cast<char>(kTagNull));
-      return;
-    case ValueType::Int: {
-      const std::int64_t i = v.as_int();
-      out.push_back(static_cast<char>(kTagNumeric));
-      if (i == 0) {
-        out.push_back(static_cast<char>(kNumZero));
-        return;
-      }
-      const bool negative = i < 0;
-      // 0 - u negates without overflowing on int64 min.
-      const std::uint64_t u = static_cast<std::uint64_t>(i);
-      const std::uint64_t mag = negative ? std::uint64_t{0} - u : u;
-      append_numeric(negative, sci_from_int(mag), out);
-      return;
-    }
-    case ValueType::Double: {
-      const double d = v.as_double();
-      out.push_back(static_cast<char>(kTagNumeric));
-      if (std::isnan(d)) {
-        // compare_rows treats NaN as incomparable ("equal" to any
-        // numeric); the encoding gives it a defined slot above +inf so
-        // the byte order stays total. SQL expressions never produce NaN
-        // keys, so the difference is unobservable in the engine.
-        out.push_back(static_cast<char>(kNumNan));
-        return;
-      }
-      if (std::isinf(d)) {
-        out.push_back(static_cast<char>(d < 0 ? kNumNegInf : kNumPosInf));
-        return;
-      }
-      if (d == 0.0) {  // +0.0 and -0.0 compare equal: one encoding
-        out.push_back(static_cast<char>(kNumZero));
-        return;
-      }
-      const bool negative = std::signbit(d);
-      append_numeric(negative, sci_from_double(std::fabs(d)), out);
-      return;
-    }
-    case ValueType::String: {
-      out.push_back(static_cast<char>(kTagString));
-      const std::string& s = v.as_string();
-      for (const char c : s) {
-        out.push_back(c);
-        if (c == '\0') out.push_back(static_cast<char>(kStrEscape));
-      }
-      out.push_back('\0');
-      out.push_back(static_cast<char>(kStrTerm));
-      return;
-    }
+    case ValueType::Null: return append_norm_key_null(out);
+    case ValueType::Int: return append_norm_key_int(v.as_int(), out);
+    case ValueType::Double: return append_norm_key_double(v.as_double(), out);
+    case ValueType::String: return append_norm_key_string(v.as_string(), out);
   }
   throw InternalError("append_norm_key: unknown value type");
 }

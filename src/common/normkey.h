@@ -36,8 +36,10 @@
 // every byte counted by the cost model are untouched.
 #pragma once
 
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "common/value.h"
 
@@ -45,6 +47,15 @@ namespace ysmart {
 
 /// Append the order-preserving encoding of one cell to `out`.
 void append_norm_key(const Value& v, std::string& out);
+
+/// Typed per-cell encoders: each appends exactly the bytes
+/// append_norm_key appends for a Value of that type (it delegates to
+/// them) and counts one kCellsEncoded. Batch kernels encode typed
+/// columns through these without building a Value per cell.
+void append_norm_key_null(std::string& out);
+void append_norm_key_int(std::int64_t i, std::string& out);
+void append_norm_key_double(double d, std::string& out);
+void append_norm_key_string(std::string_view s, std::string& out);
 
 /// Encode a whole key Row (cells concatenated; the per-cell encoding is
 /// prefix-free, so bytewise order of the concatenation equals
@@ -61,7 +72,7 @@ Row decode_norm_key(const std::string& in);
 
 /// Bytewise-unsigned three-way comparison, i.e. memcmp over the common
 /// prefix with the shorter string first on a tie. <0, 0, >0.
-inline int norm_key_compare(const std::string& a, const std::string& b) {
+inline int norm_key_compare(std::string_view a, std::string_view b) {
   const std::size_t n = a.size() < b.size() ? a.size() : b.size();
   const int c = std::memcmp(a.data(), b.data(), n);
   if (c != 0) return c;
@@ -72,7 +83,7 @@ inline int norm_key_compare(const std::string& a, const std::string& b) {
 /// partition hash. Computed once per pair instead of re-hashing every
 /// cell; consistent with key equality because equal keys encode to
 /// identical bytes.
-inline std::uint64_t norm_key_hash(const std::string& key) {
+inline std::uint64_t norm_key_hash(std::string_view key) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const unsigned char c : key) {
     h ^= c;

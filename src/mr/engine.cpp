@@ -176,7 +176,8 @@ struct PartitionResult {
 
 /// Runs one reduce partition over its already-merged (shuffle-sorted)
 /// input. The merge itself happens in the engine's shuffle-sort pass so
-/// the two phases have distinct wall-clock spans. When `sample` is set
+/// the two phases have distinct wall-clock spans. `empty_key_partition`
+/// is passed on to Reducer::finish. When `sample` is set
 /// the partition additionally retains key-group/tag/hot-key telemetry;
 /// nothing sampled feeds back into the work measurements or costs.
 PartitionResult run_reduce_partition(const MRJobSpec& spec,
@@ -184,7 +185,7 @@ PartitionResult run_reduce_partition(const MRJobSpec& spec,
                                      const ClusterConfig& cfg,
                                      const CostModel& cost,
                                      double reducer_scale, int attempts,
-                                     bool sample) {
+                                     bool empty_key_partition, bool sample) {
   PartitionResult res;
   ReduceTaskWork& w = res.work;
   for (const auto& kv : part)
@@ -226,6 +227,7 @@ PartitionResult run_reduce_partition(const MRJobSpec& spec,
                     emitter);
     i = j;
   }
+  reducer->finish(empty_key_partition, emitter);
   w.output_records = emitter.records();
   w.output_bytes = emitter.bytes();
   res.tables = std::move(emitter.tables());
@@ -590,6 +592,8 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
 
   // Pass 2, reduce: run each partition's reducer over its merged input.
   std::vector<PartitionResult> parts(static_cast<std::size_t>(num_reducers));
+  const std::size_t empty_key_part =
+      empty_key_partition(static_cast<std::size_t>(num_reducers));
   int reduce_span_id = -1;
   {
     obs::ScopedSpan reduce_span(obs_, "reduce", "phase");
@@ -601,10 +605,10 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
         [&](std::size_t begin, std::size_t end) {
           obs::TaskClock tc(reduce_prof.agg());
           for (std::size_t p = begin; p < end; ++p)
-            parts[p] = run_reduce_partition(spec, std::move(merged[p]), cfg_,
-                                            cost_, reducer_scale,
-                                            plans[p].attempts,
-                                            /*sample=*/obs_ != nullptr);
+            parts[p] = run_reduce_partition(
+                spec, std::move(merged[p]), cfg_, cost_, reducer_scale,
+                plans[p].attempts, p == empty_key_part,
+                /*sample=*/obs_ != nullptr);
         });
   }
 

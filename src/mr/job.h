@@ -92,6 +92,13 @@ class Reducer {
   /// Called once per distinct key with all its values (sorted by source).
   virtual void reduce(const Row& key, std::span<const KeyValue> values,
                       ReduceEmitter& out) = 0;
+
+  /// Called once at the end of each reduce partition, after its last
+  /// reduce() call. `empty_key_partition` is true in the one partition
+  /// the empty key shuffles to: a global aggregation (whose key is
+  /// empty) that saw no input emits its one row there, as SQL requires
+  /// of an aggregate over no rows.
+  virtual void finish(bool /*empty_key_partition*/, ReduceEmitter& /*out*/) {}
 };
 
 struct MRJobSpec {

@@ -38,6 +38,11 @@ inline std::size_t shuffle_partition(const KeyValue& kv,
   return static_cast<std::size_t>(norm_key_hash(kv.norm_key)) % num_partitions;
 }
 
+/// The partition every pair with an empty key shuffles to.
+inline std::size_t empty_key_partition(std::size_t num_partitions) {
+  return static_cast<std::size_t>(norm_key_hash({})) % num_partitions;
+}
+
 /// Map-side sort of one partition bucket: plain std::sort over the
 /// explicit (key, source, seq) tuple. seq is the bucket-local emit
 /// index, so the result is exactly what the historical

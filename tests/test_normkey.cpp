@@ -14,6 +14,7 @@
 
 #include "common/error.h"
 #include "common/normkey.h"
+#include "common/prof_counters.h"
 #include "common/rng.h"
 #include "common/value.h"
 
@@ -211,6 +212,98 @@ TEST(NormKey, StringEdgeCases) {
                                             encode_one(Value{ordered[j]})));
       ASSERT_EQ(got, want) << "strings " << i << " vs " << j;
     }
+}
+
+/// The documented cell layout (common/normkey.h), spelled out apart from
+/// the encoder: frexp finds the binary exponent instead of bit fields.
+std::string reference_encoding(const Value& v) {
+  std::string out;
+  if (v.is_null()) return std::string(1, '\x10');
+  if (v.type() == ValueType::String) {
+    out.push_back('\x30');
+    for (const char c : v.as_string()) {
+      out.push_back(c);
+      if (c == '\0') out.push_back('\xff');
+    }
+    out.push_back('\0');
+    out.push_back('\x01');
+    return out;
+  }
+  out.push_back('\x20');
+  bool negative = false;
+  int exponent = 0;
+  std::uint64_t fraction = 0;
+  if (v.type() == ValueType::Int) {
+    const std::int64_t i = v.as_int();
+    if (i == 0) return out + '\x02';
+    negative = i < 0;
+    const std::uint64_t mag = negative ? 0 - static_cast<std::uint64_t>(i)
+                                       : static_cast<std::uint64_t>(i);
+    exponent = 63 - std::countl_zero(mag);
+    fraction = exponent == 0 ? 0 : mag << (64 - exponent);
+  } else {
+    const double d = v.as_double();
+    if (std::isnan(d)) return out + '\x05';
+    if (std::isinf(d)) return out + (d < 0 ? '\x00' : '\x04');
+    if (d == 0) return out + '\x02';
+    negative = d < 0;
+    const double m = std::frexp(std::fabs(d), &exponent);  // m in [0.5, 1)
+    exponent -= 1;
+    // 2m - 1 holds at most 52 significant bits, so scaling it by 2^64
+    // and converting is exact.
+    fraction = static_cast<std::uint64_t>(std::ldexp(2 * m - 1, 64));
+  }
+  out.push_back(negative ? '\x01' : '\x03');
+  const auto biased = static_cast<std::uint16_t>(exponent + 1100);
+  std::string payload;
+  payload.push_back(static_cast<char>(biased >> 8));
+  payload.push_back(static_cast<char>(biased & 0xFF));
+  for (int shift = 56; shift >= 0; shift -= 8)
+    payload.push_back(static_cast<char>((fraction >> shift) & 0xFF));
+  if (negative)
+    for (char& c : payload) c = static_cast<char>(~c);
+  return out + payload;
+}
+
+/// The typed encoder for v's type, appended to a non-empty buffer.
+std::string typed_encoding(const Value& v) {
+  std::string out = "prefix";
+  switch (v.type()) {
+    case ValueType::Null: append_norm_key_null(out); break;
+    case ValueType::Int: append_norm_key_int(v.as_int(), out); break;
+    case ValueType::Double: append_norm_key_double(v.as_double(), out); break;
+    case ValueType::String: append_norm_key_string(v.as_string(), out); break;
+  }
+  return out.substr(6);
+}
+
+// The typed per-cell encoders (which append_norm_key delegates to) write
+// exactly the documented bytes on the edge-case pools — int64 extremes
+// and the 2^53 neighbourhood, ±0.0, ±inf, NaN, subnormals, strings with
+// embedded NUL and 0xFF — and on seeded random cells; each counts one
+// encoded cell.
+TEST(NormKey, TypedEncodersWriteTheDocumentedBytes) {
+  std::vector<Value> cells = {Value::null(),
+                              Value{std::numeric_limits<double>::quiet_NaN()},
+                              Value{-std::numeric_limits<double>::quiet_NaN()}};
+  for (const std::int64_t i : int_pool()) cells.push_back(Value{i});
+  for (const double d : double_pool()) cells.push_back(Value{d});
+  for (const std::string& str : string_pool()) cells.push_back(Value{str});
+  Rng rng(20261017);
+  for (int i = 0; i < 20000; ++i) cells.push_back(random_value(rng));
+
+  prof::acquire_enabled();
+  for (const Value& v : cells) {
+    const std::uint64_t before =
+        prof::thread_snapshot().dispatch[prof::kCellsEncoded];
+    const std::string typed = typed_encoding(v);
+    const std::uint64_t counted =
+        prof::thread_snapshot().dispatch[prof::kCellsEncoded] - before;
+    ASSERT_EQ(typed, reference_encoding(v)) << v.to_string();
+    ASSERT_EQ(encode_one(v), typed) << v.to_string();
+    ASSERT_EQ(counted, 1u) << v.to_string();
+  }
+  prof::release_enabled();
 }
 
 TEST(NormKey, ShorterRowSortsFirst) {

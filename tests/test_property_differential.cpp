@@ -160,20 +160,46 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// Larger single-seed sweep over row counts, including the empty table.
-class SizeSweepTest : public ::testing::TestWithParam<int> {};
+// Larger single-seed sweep over row counts, including the empty table,
+// under the combiner (ysmart, hive) and plain MapReduce (pig) paths.
+class SizeSweepTest : public ::testing::TestWithParam<int> {
+ protected:
+  void expect_matches_reference(const std::string& sql) {
+    const int rows = GetParam();
+    Database db(ClusterConfig::small_local(1.0));
+    db.create_table("f", random_fact(99, rows));
+    db.create_table("d", random_dim(99, rows / 4 + 1));
+    Table expected = db.run_reference(sql);
+    for (const auto& profile :
+         {TranslatorProfile::ysmart(), TranslatorProfile::hive(),
+          TranslatorProfile::pig()}) {
+      SCOPED_TRACE(profile.name);
+      auto run = db.run(sql, profile);
+      ASSERT_FALSE(run.metrics.failed());
+      EXPECT_TRUE(same_rows_unordered(expected, *run.result))
+          << sql << "\nexpected:\n" << expected.to_string(8) << "got:\n"
+          << run.result->to_string(8);
+    }
+  }
+};
 
 TEST_P(SizeSweepTest, JoinAggPipelineMatchesReference) {
-  const int rows = GetParam();
-  Database db(ClusterConfig::small_local(1.0));
-  db.create_table("f", random_fact(99, rows));
-  db.create_table("d", random_dim(99, rows / 4 + 1));
-  const std::string sql =
+  expect_matches_reference(
       "SELECT f.k, count(*) AS n, sum(a) AS s FROM f, d WHERE f.k = d.k "
-      "GROUP BY f.k";
-  Table expected = db.run_reference(sql);
-  auto run = db.run(sql, TranslatorProfile::ysmart());
-  EXPECT_TRUE(same_rows_unordered(expected, *run.result));
+      "GROUP BY f.k");
+}
+
+// A global aggregation yields exactly one row, also over no rows at all.
+TEST_P(SizeSweepTest, GlobalAggregationMatchesReference) {
+  expect_matches_reference("SELECT count(*) AS n, sum(a) AS s FROM f");
+}
+
+// a is drawn from [-50, 50], so this filter empties every table.
+TEST_P(SizeSweepTest, EmptyingFilterMatchesReference) {
+  expect_matches_reference(
+      "SELECT count(*) AS n, sum(a) AS s, min(b) AS m FROM f WHERE a > 1000");
+  expect_matches_reference(
+      "SELECT b, count(*) AS n FROM f WHERE a > 1000 GROUP BY b");
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SizeSweepTest,

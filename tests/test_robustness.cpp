@@ -572,18 +572,40 @@ TEST(RawComparatorModes, SimulationIsBitIdenticalWithFastPathOnAndOff) {
 // ---- vectorized execution: a pure host-side optimization ----
 
 TEST(VectorizedModes, SimulationIsBitIdenticalOnOffAcrossPoolSizes) {
-  // The Fig. 9 workload (Q21 "Left Outer Join1" sub-tree, a merged CMF
-  // job under the YSmart profile) run four ways: columnar batch kernels
-  // on/off (YSMART_VECTORIZED) crossed with host pool sizes 1 and 8.
+  // Each input runs four ways: columnar batch kernels on/off
+  // (YSMART_VECTORIZED) crossed with host pool sizes 1 and 8.
   // Vectorization may only change host wall-clock — everything simulated
   // must match byte for byte across all four runs: metrics, results,
-  // analyzer JSON, and the sim-axis journal (the PR 5 invariant).
+  // analyzer JSON, and the sim-axis journal. The inputs: the Fig. 9
+  // workload (Q21 "Left Outer Join1" sub-tree, a merged CMF job under
+  // the YSmart profile), and two CombineAgg jobs, whose map side is the
+  // hash aggregation: Q-AGG over a clicks table of many blocks, and a
+  // filtered GROUP BY on a string key.
   TpchConfig small;
   small.orders = 1500;
   small.parts = 200;
   small.customers = 150;
   small.suppliers = 20;
   const TpchData tpch = generate_tpch(small);
+  ClicksConfig cc;
+  cc.users = 2000;
+  const std::shared_ptr<const Table> clicks = generate_clicks(cc);
+
+  struct Input {
+    std::string sql;
+    std::uint64_t hdfs_block_bytes;
+    bool combine_agg;
+  };
+  const std::uint64_t default_block = ClusterConfig{}.hdfs_block_bytes;
+  const Input inputs[] = {
+      {queries::q21_subtree().sql, default_block, false},
+      {queries::qagg().sql, 256 << 10, true},
+      // The filter keeps about a quarter of the orders.
+      {"SELECT o_orderstatus, count(*) AS n, sum(o_totalprice) AS s, "
+       "min(o_orderdate) AS d FROM orders WHERE o_totalprice > 150000 "
+       "GROUP BY o_orderstatus",
+       default_block, true},
+  };
 
   struct Outcome {
     QueryRunResult run;
@@ -592,68 +614,83 @@ TEST(VectorizedModes, SimulationIsBitIdenticalOnOffAcrossPoolSizes) {
     std::string digest;
   };
   const bool saved = vectorized_enabled();
-  auto run_mode = [&](bool vectorized, int pool_size) {
-    set_vectorized_enabled(vectorized);
-    ThreadPool pool(pool_size);
-    Database db(ClusterConfig::small_local(1.0), &pool);
-    db.create_table("lineitem", tpch.lineitem);
-    db.create_table("orders", tpch.orders);
-    db.create_table("supplier", tpch.supplier);
-    db.create_table("nation", tpch.nation);
-    obs::ObsContext obs;
-    db.set_observer(&obs);
-    Outcome o{db.run(queries::q21_subtree().sql, TranslatorProfile::ysmart()),
-              obs.events.jsonl(obs::EventLog::IncludeWall::No), "", ""};
-    obs::QueryHistoryRecord rec;
-    if (obs.history.at(0, &rec)) {
-      o.analyzer = rec.analyzer_text;
-      o.digest = rec.digest;
-    }
-    return o;
-  };
-  const Outcome base = run_mode(true, 1);
-  set_vectorized_enabled(saved);
-  ASSERT_FALSE(base.run.metrics.failed());
-  EXPECT_FALSE(base.analyzer.empty());
-
-  struct ModeCase {
-    bool vectorized;
-    int pool;
-  };
-  for (const ModeCase mc :
-       {ModeCase{true, 8}, ModeCase{false, 1}, ModeCase{false, 8}}) {
-    SCOPED_TRACE(std::string("vectorized=") + (mc.vectorized ? "on" : "off") +
-                 " pool=" + std::to_string(mc.pool));
-    const Outcome o = run_mode(mc.vectorized, mc.pool);
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.sql);
+    auto run_mode = [&](bool vectorized, int pool_size) {
+      set_vectorized_enabled(vectorized);
+      ThreadPool pool(pool_size);
+      ClusterConfig cluster = ClusterConfig::small_local(1.0);
+      cluster.hdfs_block_bytes = in.hdfs_block_bytes;
+      Database db(cluster, &pool);
+      db.create_table("lineitem", tpch.lineitem);
+      db.create_table("orders", tpch.orders);
+      db.create_table("supplier", tpch.supplier);
+      db.create_table("nation", tpch.nation);
+      db.create_table("clicks", clicks);
+      if (in.combine_agg) {
+        const TranslatedQuery tq =
+            db.translate_query(in.sql, TranslatorProfile::ysmart());
+        EXPECT_EQ(tq.jobs.size(), 1u);
+        EXPECT_EQ(tq.jobs.at(0).kind, TranslatedJob::Kind::CombineAgg);
+      }
+      obs::ObsContext obs;
+      db.set_observer(&obs);
+      Outcome o{db.run(in.sql, TranslatorProfile::ysmart()),
+                obs.events.jsonl(obs::EventLog::IncludeWall::No), "", ""};
+      obs::QueryHistoryRecord rec;
+      if (obs.history.at(0, &rec)) {
+        o.analyzer = rec.analyzer_text;
+        o.digest = rec.digest;
+      }
+      return o;
+    };
+    const Outcome base = run_mode(true, 1);
     set_vectorized_enabled(saved);
-    ASSERT_FALSE(o.run.metrics.failed());
-    // Exact equality on the simulated doubles, not just approximate.
-    EXPECT_EQ(base.run.metrics.total_time_s(), o.run.metrics.total_time_s());
-    EXPECT_EQ(base.run.metrics.wall_time_s, o.run.metrics.wall_time_s);
-    ASSERT_EQ(base.run.metrics.jobs.size(), o.run.metrics.jobs.size());
-    for (std::size_t i = 0; i < base.run.metrics.jobs.size(); ++i) {
-      const auto& a = base.run.metrics.jobs[i];
-      const auto& b = o.run.metrics.jobs[i];
-      EXPECT_EQ(a.map_time_s, b.map_time_s) << "job " << i;
-      EXPECT_EQ(a.reduce_time_s, b.reduce_time_s) << "job " << i;
-      EXPECT_EQ(a.shuffle_bytes_raw, b.shuffle_bytes_raw) << "job " << i;
-      EXPECT_EQ(a.shuffle_bytes_wire, b.shuffle_bytes_wire) << "job " << i;
-      EXPECT_EQ(a.dfs_write_bytes, b.dfs_write_bytes) << "job " << i;
-      EXPECT_EQ(a.reduce.output_records, b.reduce.output_records)
-          << "job " << i;
+    ASSERT_FALSE(base.run.metrics.failed());
+    EXPECT_FALSE(base.analyzer.empty());
+    ASSERT_GT(base.run.result->row_count(), 0u);
+    if (in.hdfs_block_bytes != default_block)
+      EXPECT_GT(base.run.metrics.jobs.at(0).map.tasks, 1u);
+
+    struct ModeCase {
+      bool vectorized;
+      int pool;
+    };
+    for (const ModeCase mc :
+         {ModeCase{true, 8}, ModeCase{false, 1}, ModeCase{false, 8}}) {
+      SCOPED_TRACE(std::string("vectorized=") + (mc.vectorized ? "on" : "off") +
+                   " pool=" + std::to_string(mc.pool));
+      const Outcome o = run_mode(mc.vectorized, mc.pool);
+      set_vectorized_enabled(saved);
+      ASSERT_FALSE(o.run.metrics.failed());
+      // Exact equality on the simulated doubles, not just approximate.
+      EXPECT_EQ(base.run.metrics.total_time_s(), o.run.metrics.total_time_s());
+      EXPECT_EQ(base.run.metrics.wall_time_s, o.run.metrics.wall_time_s);
+      ASSERT_EQ(base.run.metrics.jobs.size(), o.run.metrics.jobs.size());
+      for (std::size_t i = 0; i < base.run.metrics.jobs.size(); ++i) {
+        const auto& a = base.run.metrics.jobs[i];
+        const auto& b = o.run.metrics.jobs[i];
+        EXPECT_EQ(a.map_time_s, b.map_time_s) << "job " << i;
+        EXPECT_EQ(a.reduce_time_s, b.reduce_time_s) << "job " << i;
+        EXPECT_EQ(a.shuffle_bytes_raw, b.shuffle_bytes_raw) << "job " << i;
+        EXPECT_EQ(a.shuffle_bytes_wire, b.shuffle_bytes_wire) << "job " << i;
+        EXPECT_EQ(a.dfs_write_bytes, b.dfs_write_bytes) << "job " << i;
+        EXPECT_EQ(a.reduce.output_records, b.reduce.output_records)
+            << "job " << i;
+      }
+      // Identical result rows in identical order.
+      ASSERT_NE(base.run.result, nullptr);
+      ASSERT_NE(o.run.result, nullptr);
+      ASSERT_EQ(base.run.result->row_count(), o.run.result->row_count());
+      for (std::size_t i = 0; i < base.run.result->rows().size(); ++i)
+        EXPECT_EQ(compare_rows(base.run.result->rows()[i],
+                               o.run.result->rows()[i]),
+                  std::strong_ordering::equal);
+      // Analyzer JSON and the sim-axis event journal, byte for byte.
+      EXPECT_EQ(base.analyzer, o.analyzer);
+      EXPECT_EQ(base.digest, o.digest);
+      EXPECT_EQ(base.journal, o.journal);
     }
-    // Identical result rows in identical order.
-    ASSERT_NE(base.run.result, nullptr);
-    ASSERT_NE(o.run.result, nullptr);
-    ASSERT_EQ(base.run.result->row_count(), o.run.result->row_count());
-    for (std::size_t i = 0; i < base.run.result->rows().size(); ++i)
-      EXPECT_EQ(compare_rows(base.run.result->rows()[i],
-                             o.run.result->rows()[i]),
-                std::strong_ordering::equal);
-    // Analyzer JSON and the sim-axis event journal, byte for byte.
-    EXPECT_EQ(base.analyzer, o.analyzer);
-    EXPECT_EQ(base.digest, o.digest);
-    EXPECT_EQ(base.journal, o.journal);
   }
 }
 

@@ -42,9 +42,13 @@ def load_report(path):
 
 
 def summarize_host(host):
-    """Compact host_phases: process CPU and per-phase CPU sums."""
+    """Compact host_phases: process CPU and per-phase CPU sums, or None
+    when no phase was recorded (nothing was profiled, so there is no
+    host point to keep)."""
+    if not host.get("phases"):
+        return None
     phases = {}
-    for p in host.get("phases", []):
+    for p in host["phases"]:
         key = p["phase"]
         phases[key] = round(phases.get(key, 0.0) + p["cpu_ms"], 3)
     return {
@@ -70,8 +74,9 @@ def entry_from_reports(paths, ts):
                 "wall_ms": round(rec.get("wall_ms", 0.0), 3),
                 "failed": rec.get("failed", False),
             }
-            if "host_phases" in rec:
-                run["host"] = summarize_host(rec["host_phases"])
+            host = summarize_host(rec.get("host_phases", {}))
+            if host is not None:
+                run["host"] = host
             runs[key] = run
     if not runs:
         raise ValueError("reports contain no records")

@@ -106,6 +106,22 @@ class BenchHistoryTest(unittest.TestCase):
         # The run without host_phases has no host summary at all.
         self.assertNotIn("host", entry["runs"]["fig10/qcsa/hive"])
 
+    def test_host_phases_without_phases_leave_no_host_point(self):
+        # A bench that times its work without running a query used to
+        # carry {"process_cpu_ms": 0, "phases": []}; that is no host
+        # measurement, so it must not become a 0 ms CPU point.
+        doc = report_doc("bench_exec", [("exec-50000", "vec", 1.0, 5.0,
+                                         False, None)])
+        doc["records"][0]["host_phases"] = {
+            "schema_version": 1, "process_cpu_ms": 0, "phases": []}
+        self.assertIsNone(
+            bench_history.summarize_host(doc["records"][0]["host_phases"]))
+        r = self.write_report("exec.json", doc)
+        self.assertEqual(self.append([r], "2026-08-09T00:00:00+00:00"), 0)
+        run = self.history_lines()[0]["runs"]["bench_exec/exec-50000/vec"]
+        self.assertNotIn("host", run)
+        self.assertEqual(run["wall_ms"], 5.0)
+
     def test_append_twice_grows_the_series(self):
         r = self.write_report(
             "a.json",
