@@ -1,10 +1,7 @@
 #include "api/database.h"
 
-#include <chrono>
-
 #include "common/error.h"
 #include "common/strings.h"
-#include "obs/analyzer.h"
 #include "obs/obs.h"
 #include "plan/builder.h"
 #include "plan/printer.h"
@@ -39,14 +36,11 @@ PlanPtr Database::plan(const std::string& sql) const {
 
 TranslatedQuery Database::translate_query(const std::string& sql,
                                           const TranslatorProfile& profile) {
-  obs::ScopedSpan translate_span(obs_, "translate:" + profile.name,
-                                 "translate");
   // Translation runs on the orchestrating thread; one TaskClock over the
   // whole function attributes its host CPU and allocations.
-  obs::PhaseClock translate_prof(obs_ ? &obs_->profiler : nullptr,
-                                 translate_span.id(),
-                                 "translate:" + profile.name, "translate");
-  obs::TaskClock translate_tc(translate_prof.agg());
+  obs::PhaseScope translate_phase(obs_, "translate:" + profile.name, "translate",
+                                  "translate:" + profile.name, "translate");
+  obs::TaskClock translate_tc(translate_phase.agg());
   PlanPtr p;
   {
     obs::ScopedSpan parse_span(obs_, "parse+plan", "translate");
@@ -55,17 +49,11 @@ TranslatedQuery Database::translate_query(const std::string& sql,
   const std::string scratch =
       "/scratch/" + profile.name + "/run" + std::to_string(run_counter_++);
   TranslatedQuery q = translate(p, profile, scratch, &stats_, obs_);
-  // Plan axis: record the prediction at translate time, before any
-  // execution, so the join against actuals is honest (obs/plan_view.h).
-  if (obs_ && obs_->plans.enabled())
-    obs_->plans.record_prediction(obs::predict_query(
-        q, profile, stats_, dfs_, engine_->cluster(), sql));
-  translate_span.arg("jobs", static_cast<std::uint64_t>(q.jobs.size()));
-  if (obs_)
-    obs_->events.emit(obs::EventLevel::Info, obs::EventCategory::Translate,
-                      "translated", obs_->tracer.sim_now(),
-                      {{"profile", std::string_view(profile.name)},
-                       {"jobs", static_cast<std::uint64_t>(q.jobs.size())}});
+  obs::observe_translation(obs_, translate_phase.id(), profile.name,
+                           q.jobs.size(), [&] {
+                             return obs::predict_query(q, profile, stats_, dfs_,
+                                                       engine_->cluster(), sql);
+                           });
   return q;
 }
 
@@ -86,75 +74,22 @@ std::string Database::explain(const std::string& sql,
 QueryRunResult Database::run(const std::string& sql,
                              const TranslatorProfile& profile) {
   obs::ScopedSpan query_span(obs_, "query:" + profile.name, "query");
-  // Bracket the query's whole-process CPU so per-phase sums have a
-  // coverage top line to reconcile against (host axis only).
-  struct QueryCpuScope {
-    obs::HostProfiler* prof;
-    explicit QueryCpuScope(obs::HostProfiler* p) : prof(p) {
-      if (prof) prof->query_begin();
-    }
-    ~QueryCpuScope() {
-      if (prof) prof->query_end();
-    }
-  } query_cpu(obs_ ? &obs_->profiler : nullptr);
-  const double sim0 = obs_ ? obs_->tracer.sim_now() : 0.0;
-  // Host wall clock is measured only when an observer is attached and
-  // lands exclusively in the history record's segregated wall field.
-  std::chrono::steady_clock::time_point host0;
-  if (obs_) {
-    host0 = std::chrono::steady_clock::now();
-    obs_->samples.begin_query();
+  obs::QueryRecord rec{sql, profile.name, query_span.id()};
+  obs::observe(obs_, obs::QueryPoint::Start, rec);
+  QueryRunResult r;
+  try {
+    const TranslatedQuery q = translate_query(sql, profile);
+    rec.jobs = q.jobs.size();
+    obs::observe(obs_, obs::QueryPoint::Translated, rec);
+    r = run_translated(q, *engine_, profile);
+  } catch (const std::exception& e) {
+    // Publish the query on every exit, so no surface is left half-open.
+    rec.error = e.what();
+    obs::observe(obs_, obs::QueryPoint::Done, rec);
+    throw;
   }
-  TranslatedQuery q = translate_query(sql, profile);
-  if (obs_) {
-    obs_->events.emit(obs::EventLevel::Info, obs::EventCategory::Translate,
-                      "query-start", sim0,
-                      {{"profile", std::string_view(profile.name)},
-                       {"jobs", static_cast<std::uint64_t>(q.jobs.size())}});
-    obs_->progress.begin_query(sql, profile.name, q.jobs.size());
-  }
-  QueryRunResult r = run_translated(q, *engine_, profile);
-  if (obs_) {
-    // wall_time_s is the modeled end-to-end elapsed time (waves overlap
-    // under concurrent submission), which is where the executor leaves
-    // the simulated cursor; total_time_s is the serial sum.
-    query_span.sim(sim0, r.metrics.wall_time_s);
-    query_span.arg("jobs", static_cast<std::uint64_t>(r.metrics.jobs.size()));
-    query_span.arg("sim_total_s", r.metrics.total_time_s());
-    if (r.metrics.failed()) query_span.arg("failed", std::string_view("true"));
-    obs_->events.emit(
-        r.metrics.failed() ? obs::EventLevel::Error : obs::EventLevel::Info,
-        obs::EventCategory::Schedule, "query-done",
-        sim0 + r.metrics.wall_time_s,
-        {{"profile", std::string_view(profile.name)},
-         {"jobs", static_cast<std::uint64_t>(r.metrics.jobs.size())},
-         {"sim_wall_s", r.metrics.wall_time_s},
-         {"failed", r.metrics.failed() ? 1 : 0}});
-    obs_->progress.end_query(r.metrics.failed(), r.metrics.wall_time_s);
-
-    // Flight recorder: one record per completed query, built entirely
-    // from already-computed values after execution finishes.
-    const obs::QueryTaskSamples qs = obs_->samples.last_query();
-    const obs::AnalyzerReport report = obs::analyze_query(qs);
-    obs::QueryHistoryRecord rec;
-    rec.sql = sql;
-    rec.profile = profile.name;
-    rec.jobs = static_cast<int>(r.metrics.jobs.size());
-    rec.waves = static_cast<int>(report.waves.size());
-    rec.sim_total_s = r.metrics.total_time_s();
-    rec.sim_wall_s = r.metrics.wall_time_s;
-    rec.host_wall_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - host0)
-            .count();
-    rec.failed = r.metrics.failed();
-    rec.fail_reason = r.metrics.fail_reason();
-    rec.digest = report.diagnosis.empty() ? "ok" : report.diagnosis.front();
-    rec.analyzer_text = report.text();
-    obs_->history.add(std::move(rec));
-
-    if (obs_->plans.enabled()) obs_->plans.attach_actuals(qs, r.metrics);
-  }
+  rec.metrics = &r.metrics;
+  obs::observe(obs_, obs::QueryPoint::Done, rec);
   return r;
 }
 

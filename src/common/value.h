@@ -21,6 +21,24 @@ enum class ValueType { Null, Int, Double, String };
 /// Human-readable name of a ValueType ("NULL", "INT", ...).
 const char* to_string(ValueType t);
 
+/// Int arithmetic wraps in two's complement, like Hive's BIGINT (a Java
+/// long): it is done in uint64_t, where overflow is defined, and
+/// converted back, which is modular. The row evaluator, the batch kernels
+/// and the integer sum all use these, so they agree on every input.
+inline std::int64_t wrapping_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t wrapping_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t wrapping_mul(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t wrapping_neg(std::int64_t a) { return wrapping_sub(0, a); }
+
 class Value {
  public:
   Value() : v_(std::monostate{}) {}

@@ -27,7 +27,7 @@ void AggState::add(const Value& v) {
   if (fn_ == Fn::Sum || fn_ == Fn::Avg) {
     sum_ += v.numeric();
     if (v.type() == ValueType::Int)
-      isum_ += v.as_int();
+      isum_ = wrapping_add(isum_, v.as_int());
     else
       sum_all_int_ = false;
   } else if (fn_ == Fn::Min) {
@@ -46,7 +46,7 @@ void AggState::merge(const AggState& other) {
   }
   count_ += other.count_;
   sum_ += other.sum_;
-  isum_ += other.isum_;
+  isum_ = wrapping_add(isum_, other.isum_);
   sum_all_int_ = sum_all_int_ && other.sum_all_int_;
   if (!other.min_.is_null() && (min_.is_null() || other.min_.compare(min_) < 0))
     min_ = other.min_;
@@ -111,7 +111,7 @@ void AggState::add_partial(std::span<const Value> in) {
     if (!in[0].is_null()) {
       sum_ += in[0].numeric();
       if (in[0].type() == ValueType::Int)
-        isum_ += in[0].as_int();
+        isum_ = wrapping_add(isum_, in[0].as_int());
       else
         sum_all_int_ = false;
     }

@@ -90,7 +90,7 @@ inline void AggState::add_int(std::int64_t v) {
   ++count_;
   if (fn_ == Fn::Sum || fn_ == Fn::Avg) {
     sum_ += static_cast<double>(v);
-    isum_ += v;
+    isum_ = wrapping_add(isum_, v);
   } else if (fn_ == Fn::Min) {
     bool less;
     switch (min_.type()) {

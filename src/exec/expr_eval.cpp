@@ -92,7 +92,7 @@ Value BoundExpr::eval_node(const Node& n, const Row& row) {
       }
       if (n.op == "-") {
         if (v.is_null()) return Value::null();
-        if (v.type() == ValueType::Int) return Value{-v.as_int()};
+        if (v.type() == ValueType::Int) return Value{wrapping_neg(v.as_int())};
         return Value{-v.numeric()};
       }
       throw ExecError("unknown unary operator: " + n.op);
@@ -119,9 +119,9 @@ Value BoundExpr::eval_node(const Node& n, const Row& row) {
       if (n.op == "+" || n.op == "-" || n.op == "*") {
         if (both_int(a, b)) {
           const std::int64_t x = a.as_int(), y = b.as_int();
-          if (n.op == "+") return Value{x + y};
-          if (n.op == "-") return Value{x - y};
-          return Value{x * y};
+          if (n.op == "+") return Value{wrapping_add(x, y)};
+          if (n.op == "-") return Value{wrapping_sub(x, y)};
+          return Value{wrapping_mul(x, y)};
         }
         const double x = a.numeric(), y = b.numeric();
         if (n.op == "+") return Value{x + y};

@@ -338,13 +338,16 @@ std::optional<BatchVector> arith_kernel(const Node& nd, const BatchVector& av,
     union_nulls(a, b, n, out.nulls);
     switch (op) {
       case '+':
-        for (std::size_t k = 0; k < n; ++k) out.ivec[k] = a.geti(k) + b.geti(k);
+        for (std::size_t k = 0; k < n; ++k)
+          out.ivec[k] = wrapping_add(a.geti(k), b.geti(k));
         break;
       case '-':
-        for (std::size_t k = 0; k < n; ++k) out.ivec[k] = a.geti(k) - b.geti(k);
+        for (std::size_t k = 0; k < n; ++k)
+          out.ivec[k] = wrapping_sub(a.geti(k), b.geti(k));
         break;
       default:
-        for (std::size_t k = 0; k < n; ++k) out.ivec[k] = a.geti(k) * b.geti(k);
+        for (std::size_t k = 0; k < n; ++k)
+          out.ivec[k] = wrapping_mul(a.geti(k), b.geti(k));
         break;
     }
     return out;
@@ -518,7 +521,8 @@ std::optional<BatchVector> eval_node_batch(const Node& nd, ColumnBatch& batch,
         if (a.is_int) {
           out.rep = Rep::IntVec;
           out.ivec.resize(n);
-          for (std::size_t k = 0; k < n; ++k) out.ivec[k] = -a.geti(k);
+          for (std::size_t k = 0; k < n; ++k)
+            out.ivec[k] = wrapping_neg(a.geti(k));
         } else {
           out.rep = Rep::DblVec;
           out.dvec.resize(n);

@@ -56,10 +56,10 @@ class Engine {
   const ClusterConfig& cluster() const { return cfg_; }
   Dfs& dfs() { return dfs_; }
 
-  /// Attach (or detach with null) an observability context: job/phase
-  /// spans and counters are recorded there. Null (the default) disables
-  /// all instrumentation; observation never changes simulated metrics,
-  /// results, or RNG consumption (tests/test_obs.cpp).
+  /// Attach (or detach with null) an observability context: each job's
+  /// record and phase spans are projected onto it (obs/obs.h). Null (the
+  /// default) skips the projection; observation never changes simulated
+  /// metrics, results, or RNG consumption (tests/test_obs.cpp).
   void set_obs(obs::ObsContext* obs) { obs_ = obs; }
   obs::ObsContext* obs() const { return obs_; }
 

@@ -8,8 +8,6 @@
 
 namespace ysmart::obs {
 
-namespace {
-
 PhaseSkewStats phase_stats(const std::vector<TaskSample>& tasks,
                            const AnalyzerOptions& opts) {
   PhaseSkewStats st;
@@ -36,6 +34,8 @@ PhaseSkewStats phase_stats(const std::vector<TaskSample>& tasks,
         st.stragglers.push_back(static_cast<int>(i));
   return st;
 }
+
+namespace {
 
 std::string render_key(const JobAnalysis& job, const std::string& key) {
   if (job.key_columns.empty()) return key;

@@ -125,6 +125,13 @@ struct AnalyzerReport {
   std::string json() const;
 };
 
+/// Distribution of one phase's per-task sim seconds; `stragglers` lists
+/// the tasks above opts.straggler_threshold x the lower median (phases of
+/// at least two tasks). The progress tracker's live straggler counts
+/// apply the same rule.
+PhaseSkewStats phase_stats(const std::vector<TaskSample>& tasks,
+                           const AnalyzerOptions& opts = {});
+
 /// Analyze one query's samples. Jobs with wave -1 (standalone engine
 /// runs) are treated as serial: each forms its own wave in order.
 AnalyzerReport analyze_query(const QueryTaskSamples& query,

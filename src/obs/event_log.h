@@ -1,5 +1,5 @@
-// Structured event journal: leveled, categorized JSONL events emitted
-// from the translator, the DAG executor and the engine.
+// Structured event journal: leveled, categorized JSONL events that
+// obs::observe() derives from the query, wave and job records.
 //
 // Where the tracer answers "how long did each region take" and the
 // metrics registry answers "how much work was done", the event journal

@@ -3,13 +3,14 @@
 //
 // The tracer and sample store are per-query surfaces — the shell clears
 // them between queries so each printed tree covers one run. The history
-// store is the session-level complement: Database::run appends one
-// QueryHistoryRecord per completed query (SQL text, translation profile,
-// job/wave counts, simulated and host times, failure reason, and the
-// query doctor's rendered report), retaining the most recent N under
-// ring retention. The shell surfaces it as \history [k] and \last [i]
-// (re-print a past query's analyze tree without re-running it), and the
-// HTTP listener exports it whole as /history.json.
+// store is the session-level complement: obs::observe() appends one
+// QueryHistoryRecord per Database::run — completed, DNF or thrown (SQL
+// text, translation profile, job/wave counts, simulated and host times,
+// failure reason or error, and the query doctor's rendered report),
+// retaining the most recent N under ring retention. The shell surfaces
+// it as \history [k] and \last [i] (re-print a past query's analyze tree
+// without re-running it), and the HTTP listener exports it whole as
+// /history.json.
 //
 // Everything stored is copied from values already computed for the run;
 // recording happens on the orchestrating thread after execution, so an

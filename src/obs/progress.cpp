@@ -155,6 +155,12 @@ void ProgressTracker::job_done(bool failed, double sim_total_s) {
 void ProgressTracker::end_query(bool failed, double sim_elapsed_s) {
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // A query that threw mid-job ends that job too: failed, not running.
+    for (auto& j : state_.jobs)
+      if (!j.done) {
+        j.done = j.failed = true;
+        ++state_.jobs_done;
+      }
     state_.active = false;
     state_.failed = failed;
     state_.sim_elapsed_s = sim_elapsed_s;

@@ -1,12 +1,12 @@
 // Live progress reporting for an in-flight query DAG.
 //
-// The engine and DAG executor update per-wave/per-job task-completion
-// counters here — always from the orchestrating thread, at the points
-// where the corresponding values have already been computed for
-// JobMetrics (task costing loops, phase ends, wave ends) — so an
-// attached tracker observes execution without perturbing it, and its
-// contents are deterministic for a fixed seed at any pool size (only
-// *when* updates become visible depends on the host).
+// obs::observe() updates per-wave/per-job task-completion counters here
+// from the engine's job record and the executor's wave record — always
+// on the orchestrating thread, at the points where the corresponding
+// values have already been computed for JobMetrics (job start, phase
+// ends, wave starts) — so an attached tracker observes execution without
+// perturbing it, and its contents are deterministic for a fixed seed at
+// any pool size (only *when* updates become visible depends on the host).
 //
 // Consumers take an immutable ProgressSnapshot: the shell renders the
 // latest one as \top, and bench binaries install an on-update callback
@@ -91,6 +91,8 @@ class ProgressTracker {
   /// tasks above twice the phase median (the analyzer's rule).
   void phase_done(bool reduce_phase, int stragglers);
   void job_done(bool failed, double sim_total_s);
+  /// The query finished; a job still running (the query threw) is marked
+  /// done and failed.
   void end_query(bool failed, double sim_elapsed_s);
 
   ProgressSnapshot snapshot() const;

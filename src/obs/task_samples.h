@@ -1,14 +1,16 @@
-// Per-task telemetry samples retained during simulated job execution.
+// Per-task telemetry samples: the engine's per-job record.
 //
-// The engine computes a MapTaskWork per map task and a ReduceTaskWork per
-// reduce partition, costs them, folds them into JobMetrics — and, without
-// this store, throws the per-task detail away. When an ObsContext is
-// attached, the engine additionally retains one TaskSample per task so
-// the analyzer (obs/analyzer.h) can reason about skew, stragglers and
-// hot keys after the fact.
+// Each map task and reduce partition measures and costs its own work as
+// a TaskSample, and the engine folds those into JobMetrics and into one
+// JobTaskSamples per job — plus the job's phase span ids, sim start and
+// slot shape — whether or not an observer is attached. With an
+// ObsContext attached, obs::observe() projects that record onto every
+// surface (obs/obs.h) and keeps it here, so the analyzer
+// (obs/analyzer.h) can reason about skew, stragglers and hot keys after
+// the fact; without one the record is dropped at job end.
 //
 // Conventions:
-//  * Samples are recorded by the engine's orchestrating thread in fixed
+//  * The engine's orchestrating thread gathers samples in fixed
 //    task/partition order, so the store's contents are deterministic for
 //    a fixed seed at any thread-pool size (pinned by test_robustness).
 //  * Map-only jobs follow the metrics.h convention: their final output
@@ -72,6 +74,7 @@ struct TaskSample {
   /// registry histograms).
   double sim_seconds = 0;
   int attempts = 1;  // 1 = clean run; attempts-1 = retries
+  bool exhausted = false;  // the last allowed attempt failed too
 
   bool local_read = true;          // map only: block read from a local replica
   std::uint64_t key_groups = 0;    // reduce only: distinct keys in partition
@@ -79,7 +82,7 @@ struct TaskSample {
 
   /// Map only (reduce jobs): exact wire bytes this task emitted into each
   /// simulated reduce partition, pre-expansion — the row of the shuffle
-  /// traffic matrix. Empty for map-only jobs and when not sampled.
+  /// traffic matrix. Empty for map-only jobs.
   std::vector<std::uint64_t> partition_bytes;
 };
 
@@ -88,6 +91,14 @@ struct JobTaskSamples {
   int wave = -1;  // dependency-wave index; -1 = standalone engine run
   bool map_only = false;
   bool failed = false;
+
+  /// Where the job sits on the simulated timeline (the tracer's cursor
+  /// when it started), and the tracer spans its phases landed in (-1
+  /// without an observer).
+  double sim_start_s = 0;
+  int job_span = -1;
+  int map_span = -1;
+  int reduce_span = -1;
 
   // Simulated phase times, identical to the JobMetrics fields.
   double sched_delay_s = 0;
@@ -105,6 +116,7 @@ struct JobTaskSamples {
   int worker_nodes = 1;
   int map_slots = 1;
   int reduce_slots = 1;
+  double slot_share = 1;  // contention's share of the slots (sched span arg)
 
   /// Reduce key column names when the job's spec carries them (CMF fills
   /// them from the partition-key expressions); used to render hot keys.

@@ -85,8 +85,8 @@ class Tracer {
   void arg(int id, std::string key, std::string_view value);
 
   /// Simulated-timeline cursor: where the next job's sim interval starts.
-  /// The engine advances it past each job; the DAG executor rewinds it to
-  /// the wave start so concurrently-submitted jobs overlap.
+  /// obs::observe() advances it past each standalone job, and past each
+  /// dependency wave as a whole, so concurrently-submitted jobs overlap.
   double sim_now() const;
   void set_sim_now(double seconds);
 

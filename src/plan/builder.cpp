@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "common/strings.h"
+#include "exec/operators.h"
 #include "sql/parser.h"
 
 namespace ysmart {
@@ -441,11 +442,35 @@ class Builder {
   const Catalog& catalog_;
 };
 
+/// Binds every expression of every node against its input schema with
+/// the binders the jobs use (cmf/common_job.cpp): a scan's filter and
+/// projections against its base table, an SP's against its child, and
+/// the join, aggregation and sort binders for the rest. A column that
+/// does not resolve throws PlanError here, before any job runs.
+void check_bindings(const PlanNode& n, const Catalog& catalog) {
+  for (const auto& c : n.children) check_bindings(*c, catalog);
+  switch (n.kind) {
+    case PlanKind::Scan:
+    case PlanKind::SP: {
+      const Schema& in = n.kind == PlanKind::Scan
+                             ? catalog.schema_of(n.table)
+                             : n.children[0]->output_schema;
+      if (n.filter) BoundExpr(n.filter, in);
+      bind_all(n.projections, in);
+      break;
+    }
+    case PlanKind::Join: GroupJoinSpec{n}; break;
+    case PlanKind::Agg: BoundAgg{n}; break;
+    case PlanKind::Sort: BoundSort{n}; break;
+  }
+}
+
 }  // namespace
 
 PlanPtr build_plan(const SelectStmt& stmt, const Catalog& catalog) {
   Builder b(catalog);
   PlanPtr root = b.build(stmt);
+  check_bindings(*root, catalog);
   b.assign_labels(root);
   return root;
 }

@@ -43,32 +43,19 @@ QueryRunResult run_translated(const TranslatedQuery& query, Engine& engine,
     }
     check(!wave.empty(), "translated query has a dependency cycle");
 
-    obs::ObsContext* obs = engine.obs();
-    obs::ScopedSpan wave_span(obs, strf("wave:%zu", wave_idx), "wave");
-    // Stamp this wave's jobs in the sample store: the analyzer regroups
-    // them by wave id to reproduce the wall_time_s fold below exactly.
-    if (obs) {
-      obs->samples.set_current_wave(static_cast<int>(wave_idx));
-      obs->progress.begin_wave(wave_idx, wave.size());
-      obs->events.emit(obs::EventLevel::Info, obs::EventCategory::Schedule,
-                       "wave-start", obs->tracer.sim_now(),
-                       {{"wave", static_cast<std::uint64_t>(wave_idx)},
-                        {"jobs", static_cast<std::uint64_t>(wave.size())}});
-    }
-    ++wave_idx;
     // Jobs in one wave run concurrently on the modeled timeline: every
     // job in it starts at the wave's simulated start, and the wave ends
-    // when its slowest job does. The engine advances the tracer's sim
-    // cursor past each job, so rewind it to the wave start per job and
-    // place it at wave start + wave elapsed afterwards.
-    const double wave_sim0 = obs ? obs->tracer.sim_now() : 0.0;
-    double wave_wall = 0;
+    // when its slowest job does; the observer places them so.
+    obs::ScopedSpan wave_span(engine.obs(), strf("wave:%zu", wave_idx), "wave");
+    obs::WaveRecord rec{static_cast<int>(wave_idx), wave.size(),
+                        wave_span.id()};
+    obs::observe(engine.obs(), obs::WavePoint::Start, rec);
+    ++wave_idx;
     for (std::size_t i : wave) {
       const auto& job = query.jobs[i];
       MRJobSpec spec = build_common_job(job, profile, engine.dfs());
-      if (obs) obs->tracer.set_sim_now(wave_sim0);
       JobMetrics m = engine.run(spec);
-      wave_wall = std::max(wave_wall, m.total_time_s());
+      rec.elapsed_s = std::max(rec.elapsed_s, m.total_time_s());
       any_failed |= m.failed;
       out.metrics.jobs.push_back(std::move(m));
       for (const auto& o : job.outputs) {
@@ -76,30 +63,16 @@ QueryRunResult run_translated(const TranslatedQuery& query, Engine& engine,
         if (o.path != result_path) scratch_paths.insert(o.path);
       }
     }
-    out.metrics.wall_time_s += wave_wall;
-    if (obs) {
-      wave_span.sim(wave_sim0, wave_wall);
-      wave_span.arg("jobs", static_cast<std::uint64_t>(wave.size()));
-      obs->tracer.set_sim_now(wave_sim0 + wave_wall);
-      obs->events.emit(obs::EventLevel::Info, obs::EventCategory::Schedule,
-                       "wave-done", wave_sim0 + wave_wall,
-                       {{"wave", static_cast<std::uint64_t>(wave_idx - 1)},
-                        {"jobs", static_cast<std::uint64_t>(wave.size())},
-                        {"wave_sim_s", wave_wall}});
-      if (any_failed)
-        obs->events.emit(obs::EventLevel::Error, obs::EventCategory::Schedule,
-                         "query-abort", wave_sim0 + wave_wall,
-                         {{"pending_jobs", static_cast<std::uint64_t>(
-                               pending.size() - wave.size())}});
-    }
+    out.metrics.wall_time_s += rec.elapsed_s;
+    rec.aborts = any_failed;
+    rec.pending_jobs = pending.size() - wave.size();
+    obs::observe(engine.obs(), obs::WavePoint::Done, rec);
     std::vector<std::size_t> rest;
     for (std::size_t i : pending)
       if (std::find(wave.begin(), wave.end(), i) == wave.end())
         rest.push_back(i);
     pending = std::move(rest);
   }
-  if (obs::ObsContext* obs = engine.obs())
-    obs->samples.set_wall_time(out.metrics.wall_time_s);
 
   // A failed job (DNF) aborts the query: jobs still pending are never
   // scheduled and its outputs — present in the DFS only so standalone

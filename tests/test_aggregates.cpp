@@ -2,6 +2,8 @@
 // round trips, distinct handling.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.h"
 #include "exec/aggregates.h"
 
@@ -45,6 +47,26 @@ TEST(AggState, SumIntStaysInt) {
   s.add(Value{3});
   EXPECT_EQ(s.result().type(), ValueType::Int);
   EXPECT_EQ(s.result().as_int(), 5);
+  // sum{INT64_MAX, 1} wraps in two's complement: by add, by the typed
+  // add, and through the combiner's partial merge.
+  const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  AggState row(call("sum")), typed(call("sum")), a(call("sum")), b(call("sum"));
+  row.add(Value{max});
+  row.add(Value{1});
+  typed.add_int(max);
+  typed.add_int(1);
+  a.add(Value{max});
+  b.add(Value{1});
+  AggState merged(call("sum"));
+  for (const AggState* part : {&a, &b}) {
+    Row partial;
+    part->to_partial(partial);
+    merged.add_partial(partial);
+  }
+  a.merge(b);
+  for (const AggState* w : {&row, &typed, &merged, &a})
+    EXPECT_EQ(w->result().as_int(), min);
 }
 
 TEST(AggState, SumMixedBecomesDouble) {

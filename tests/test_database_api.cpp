@@ -6,6 +6,7 @@
 #include "common/error.h"
 #include "data/clicks_gen.h"
 #include "data/queries.h"
+#include "obs/obs.h"
 
 namespace ysmart {
 namespace {
@@ -77,6 +78,19 @@ TEST_F(DatabaseTest, MoreNodesRunFaster) {
 TEST_F(DatabaseTest, UnknownTableThrowsPlanError) {
   EXPECT_THROW(db_.run("SELECT x FROM ghost", TranslatorProfile::ysmart()),
                PlanError);
+}
+
+TEST_F(DatabaseTest, UnknownColumnInAnExpressionFailsBeforeAnyJobRuns) {
+  // At plan time, not after the aggregation job under the derived table
+  // has already run.
+  obs::ObsContext obs;
+  db_.set_observer(&obs);
+  EXPECT_THROW(db_.run("SELECT t.k + nosuch AS x FROM (SELECT uid AS k, "
+                       "count(*) AS n FROM clicks GROUP BY uid) t ORDER BY x",
+                       TranslatorProfile::ysmart()),
+               PlanError);
+  EXPECT_EQ(obs.metrics.counter("engine.jobs.run"), 0u);
+  EXPECT_EQ(obs.samples.total_jobs(), 0u);
 }
 
 TEST_F(DatabaseTest, BadSqlThrowsParseError) {

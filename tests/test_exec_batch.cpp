@@ -224,6 +224,28 @@ TEST(VectorKernels, BitIdenticalToScalarEval) {
       }
     }
   }
+  // Int overflow wraps in two's complement, in the kernels as in eval().
+  const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  const struct {
+    const char* text;
+    std::int64_t a, d, wrapped;
+  } overflows[] = {
+      {"a + d", max, 1, min},  // INT64_MAX + 1
+      {"a - d", min, 1, max},  // INT64_MIN - 1
+      {"a * d", max, 2, -2},   // INT64_MAX * 2
+      {"-a", min, 0, min},     // -INT64_MIN
+  };
+  for (const auto& o : overflows) {
+    const std::vector<Row> rows{
+        Row{Value{o.a}, Value{o.d}, Value{0.0}, Value{"x"}, Value{1}}};
+    BoundExpr bound(parse_expression(o.text), schema);
+    ColumnBatch batch{std::span<const Row>(rows)};
+    BatchVector out;
+    ASSERT_TRUE(eval_expr_batch(bound, batch, out)) << o.text;
+    EXPECT_EQ(out.value_at(0).as_int(), o.wrapped) << o.text;
+    EXPECT_EQ(bound.eval(rows[0]).as_int(), o.wrapped) << o.text;
+  }
 }
 
 TEST(VectorKernels, MixedColumnFallsBack) {
@@ -531,6 +553,9 @@ TEST(TypedAggAdds, MatchGenericAddForEveryFunction) {
   for (int i = 0; i < 500; ++i)
     data.push_back(
         Row{rng.uniform(0, 1) ? random_int_cell(rng) : random_double_cell(rng)});
+  // sum{INT64_MAX, 1} wraps to INT64_MIN on both adds.
+  data.push_back(Row{Value{std::numeric_limits<std::int64_t>::max()}});
+  data.push_back(Row{Value{1}});
   ColumnBatch batch{std::span<const Row>(data)};
 
   for (const char* func : {"count", "sum", "avg", "min", "max"}) {

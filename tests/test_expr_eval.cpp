@@ -2,6 +2,8 @@
 // arithmetic typing, comparisons, binding errors.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.h"
 #include "exec/expr_eval.h"
 #include "sql/parser.h"
@@ -28,6 +30,14 @@ TEST(ExprEval, Arithmetic) {
   EXPECT_EQ(ev("a * a").as_int(), 9);
   EXPECT_DOUBLE_EQ(ev("a + b").as_double(), 4.5);
   EXPECT_DOUBLE_EQ(ev("a / 2").as_double(), 1.5);  // '/' is always double
+  // Int overflow wraps in two's complement (Hive's BIGINT is a Java long).
+  const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  const Row at_max{Value{max}, Value{1.5}, Value{"hi"}};
+  const Row at_min{Value{min}, Value{1.5}, Value{"hi"}};
+  EXPECT_EQ(ev("a + 1", at_max).as_int(), min);
+  EXPECT_EQ(ev("a - 1", at_min).as_int(), max);
+  EXPECT_EQ(ev("a * 2", at_max).as_int(), -2);
 }
 
 TEST(ExprEval, DivisionByZeroIsNull) { EXPECT_TRUE(ev("a / 0").is_null()); }
@@ -35,6 +45,8 @@ TEST(ExprEval, DivisionByZeroIsNull) { EXPECT_TRUE(ev("a / 0").is_null()); }
 TEST(ExprEval, UnaryMinus) {
   EXPECT_EQ(ev("-a").as_int(), -3);
   EXPECT_DOUBLE_EQ(ev("-b").as_double(), -1.5);
+  const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(ev("-a", Row{Value{min}, Value{1.5}, Value{"hi"}}).as_int(), min);
 }
 
 TEST(ExprEval, Comparisons) {

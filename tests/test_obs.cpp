@@ -12,8 +12,10 @@
 
 #include "api/database.h"
 #include "common/env.h"
+#include "common/error.h"
 #include "common/json.h"
 #include "data/queries.h"
+#include "data/tpch_gen.h"
 #include "obs/obs.h"
 #include "storage/table.h"
 
@@ -455,6 +457,77 @@ TEST(TaskSamples, SamplesReconcileWithRegistryHistograms) {
     EXPECT_EQ(in_rec, jm.map.input_records);
     EXPECT_EQ(in_bytes, jm.map.input_bytes);
     EXPECT_EQ(shuffle_raw, jm.shuffle_bytes_raw);
+  }
+}
+
+// ---- a query that throws closes every surface ----
+
+/// The value of field `key` of `e`, as its JSON text ("" when absent).
+std::string field_of(const obs::Event& e, std::string_view key) {
+  for (const auto& f : e.fields)
+    if (f.key == key) return f.json;
+  return "";
+}
+
+TEST(QueryLifecycle, QueryThatThrowsStillPublishesItsRecord) {
+  TpchConfig tc;
+  tc.orders = 50;
+  const std::shared_ptr<const Table> nation = generate_tpch(tc).nation;
+  // A mid-DAG failure (the second of three jobs throws in its map phase)
+  // and a single-job one.
+  for (const std::string sql :
+       {"SELECT t.nm + 1 AS x FROM (SELECT n_name AS nm, count(*) AS c "
+        "FROM nation GROUP BY n_name) t ORDER BY x",
+        "SELECT n_name + 1 AS x FROM nation"}) {
+    SCOPED_TRACE(sql);
+    Database db(ClusterConfig::small_local(50));
+    db.create_table("nation", nation);
+    obs::ObsContext obs;
+    db.set_observer(&obs);
+    std::string what;
+    try {
+      db.run(sql, TranslatorProfile::ysmart());
+    } catch (const ExecError& e) {  // rethrown unchanged
+      what = e.what();
+    }
+    ASSERT_NE(what.find("value is not numeric"), std::string::npos);
+
+    // Progress ends inactive and failed, with no job left running.
+    const obs::ProgressSnapshot p = obs.progress.snapshot();
+    EXPECT_FALSE(p.active);
+    EXPECT_TRUE(p.failed);
+    EXPECT_EQ(p.queries_finished, 1u);
+    ASSERT_FALSE(p.jobs.empty());
+    EXPECT_EQ(p.jobs_done, p.jobs.size());
+    EXPECT_TRUE(p.jobs.back().done);
+    EXPECT_TRUE(p.jobs.back().failed);
+    EXPECT_NE(p.render().find("state: DNF"), std::string::npos);
+
+    // The journal closes the query with a failed query-done.
+    const std::vector<obs::Event> events = obs.events.events();
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events.back().name, "query-done");
+    EXPECT_EQ(events.back().level, obs::EventLevel::Error);
+    EXPECT_EQ(field_of(events.back(), "failed"), "1");
+
+    // History records the query with the error as its reason.
+    ASSERT_EQ(obs.history.size(), 1u);
+    obs::QueryHistoryRecord rec;
+    ASSERT_TRUE(obs.history.at(0, &rec));
+    EXPECT_EQ(rec.sql, sql);
+    EXPECT_TRUE(rec.failed);
+    EXPECT_EQ(rec.fail_reason, what);
+
+    // Every span closed, and the next query starts from a clean state:
+    // its one wave starts at the cursor and ends it.
+    EXPECT_TRUE(obs.tracer.well_formed());
+    const double cursor = obs.tracer.sim_now();
+    const auto ok = db.run("SELECT n_name FROM nation WHERE n_nationkey < 3",
+                           TranslatorProfile::ysmart());
+    ASSERT_FALSE(ok.metrics.failed());
+    EXPECT_DOUBLE_EQ(obs.tracer.sim_now(), cursor + ok.metrics.wall_time_s);
+    EXPECT_FALSE(obs.progress.snapshot().failed);
+    EXPECT_EQ(obs.history.size(), 2u);
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "data/queries.h"
+#include "data/tpch_gen.h"
 #include "plan/builder.h"
 #include "plan/printer.h"
 
@@ -198,6 +199,23 @@ TEST(PlanBuilder, UnknownTableThrows) {
 
 TEST(PlanBuilder, UnknownColumnThrows) {
   EXPECT_THROW(plan_query("SELECT nope FROM r", two_tables()), PlanError);
+  // Unknown columns inside expressions: every projection, aggregate
+  // argument, filter, HAVING and sort key binds at plan time.
+  Catalog c;
+  c.register_table("nation", tpch_nation_schema());
+  c.register_table("orders", tpch_orders_schema());
+  for (const char* sql : {
+           "SELECT n_nationkey + nosuch AS x FROM nation",
+           "SELECT sum(nosuch) AS s FROM nation",
+           "SELECT n_name FROM nation WHERE nosuch > 1",
+           "SELECT n_name FROM nation WHERE n_nationkey + nosuch > 1",
+           "SELECT n_name, count(*) AS c FROM nation GROUP BY n_name "
+           "HAVING nosuch > 1",
+           "SELECT n_name FROM nation ORDER BY nosuch",
+           "SELECT t.k + nosuch AS x FROM (SELECT o_custkey AS k, count(*) AS n "
+           "FROM orders GROUP BY o_custkey) t",
+       })
+    EXPECT_THROW(plan_query(sql, c), PlanError) << sql;
 }
 
 TEST(PlanBuilder, LabelsAssignedInPostOrder) {

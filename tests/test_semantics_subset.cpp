@@ -2,6 +2,9 @@
 // "Scope and subset restrictions") so deviations stay intentional.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "api/database.h"
 #include "common/error.h"
 #include "plan/builder.h"
@@ -28,6 +31,47 @@ class SubsetTest : public ::testing::Test {
   }
   Database db_;
 };
+
+TEST_F(SubsetTest, Int64ArithmeticWraps) {
+  // Documented semantic choice: Hive's BIGINT is a Java long, so + - *,
+  // unary minus and sum wrap in two's complement. The reference executor
+  // (row path) and the MapReduce run (batch kernels on the map side,
+  // typed aggregate adds) give the same wrapped values.
+  const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  Schema s;
+  s.add("k", ValueType::Int);
+  s.add("g", ValueType::Int);
+  auto t = std::make_shared<Table>(s);
+  t->append({Value{max}, Value{0}});
+  t->append({Value{1}, Value{0}});
+  t->append({Value{min}, Value{1}});
+  db_.create_table("big", t);
+  auto rows_of = [](const Table& r) {
+    std::vector<std::vector<std::int64_t>> out;
+    for (const auto& row : r.rows()) {
+      out.emplace_back();
+      for (const auto& v : row) out.back().push_back(v.as_int());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const struct {
+    const char* sql;
+    std::vector<std::vector<std::int64_t>> want;
+  } cases[] = {
+      {"SELECT k + 1 AS p, k - 1 AS m, k * 2 AS t, -k AS n FROM big "
+       "WHERE k <> 1",
+       {{min, max - 1, -2, min + 1}, {min + 1, max, 0, min}}},
+      {"SELECT g, sum(k) AS s FROM big GROUP BY g", {{0, min}, {1, min}}},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(rows_of(db_.run_reference(c.sql)), c.want) << c.sql;
+    const auto run = db_.run(c.sql, TranslatorProfile::ysmart());
+    ASSERT_NE(run.result, nullptr) << c.sql;
+    EXPECT_EQ(rows_of(*run.result), c.want) << c.sql;
+  }
+}
 
 TEST_F(SubsetTest, ThetaJoinRejected) {
   EXPECT_THROW(db_.plan("SELECT a FROM f, d WHERE f.k < d.k"), PlanError);
