@@ -11,10 +11,9 @@
 //                                        compare predictions and actuals)
 //   ysmart> \dot SELECT ... ;          (Graphviz job DAG on stdout)
 //   ysmart> \profile hive               (switch translator)
-//   ysmart> \profile on                 (per-query span tree + counters)
+//   ysmart> \profile on                 (per-query span tree)
 //   ysmart> \profile off
 //   ysmart> \trace /tmp/query.trace.json  (Chrome trace of last profiled run)
-//   ysmart> \counters                   (session metrics registry as JSON)
 //   ysmart> \analyze SELECT ... ;       (run + query-doctor skew report)
 //   ysmart> \analyze                    (re-print analysis of last sampled run)
 //   ysmart> \cluster [sql]              (cluster doctor: per-node rollup of
@@ -24,20 +23,15 @@
 //   ysmart> \top                        (progress/ETA state of the last run)
 //   ysmart> \hotspots                   (host CPU/alloc table of last run)
 //   ysmart> \flame /tmp/q.folded        (folded stacks for flamegraph.pl)
-//   ysmart> \serve 9090                 (Prometheus /metrics on 127.0.0.1)
-//   ysmart> \serve /tmp/metrics.prom    (render the exposition to a file)
 //   ysmart> \load mytable /path/data.csv   (schema inferred)
 //   ysmart> \save /path/out.csv SELECT ... ;
 //   ysmart> \tables
 //   ysmart> \quit
 //
-// Environment: YSMART_TRACE=<file> / YSMART_METRICS=<file> record the
-// whole session and write a Chrome trace / metrics-registry JSON on exit;
-// YSMART_EVENTS=<file> streams the structured event journal (JSONL) as it
-// happens; YSMART_PROM_PORT=<port> serves /metrics, /healthz,
-// /history.json, /cluster.json and /plan.json from startup;
-// YSMART_HISTORY=<n> resizes the flight
-// recorder's retention ring (default 32); YSMART_PROFILE=off disables
+// Environment: YSMART_TRACE=<file> records the whole session and writes
+// a Chrome trace on exit; YSMART_EVENTS=<file> streams the structured
+// event journal (JSONL) as it happens; YSMART_HISTORY=<n> resizes the
+// flight recorder's retention ring (default 32); YSMART_PROFILE=off disables
 // the host-axis profiler (on by default; it only feeds \hotspots and
 // \flame, never simulated results).
 //
@@ -50,17 +44,14 @@
 #include "api/database.h"
 #include "common/env.h"
 #include "common/error.h"
-#include "common/http_listener.h"
 #include "common/io.h"
 #include "common/strings.h"
 #include "data/clicks_gen.h"
 #include "data/tpch_gen.h"
 #include "obs/analyzer.h"
 #include "obs/cluster_view.h"
-#include "obs/http_endpoints.h"
 #include "obs/obs.h"
 #include "obs/plan_view.h"
-#include "obs/prom_export.h"
 #include "storage/csv.h"
 
 namespace {
@@ -94,8 +85,7 @@ void run_sql(Database& db, const TranslatorProfile& profile,
   try {
     // Without a session-long trace, each profiled query gets a fresh
     // timeline (and fresh task samples) so the printed tree, a following
-    // \trace, and a bare \analyze cover just that query. Counters always
-    // accumulate across the session.
+    // \trace, and a bare \analyze cover just that query.
     if (db.observer() && !sobs.session_trace) {
       sobs.ctx.tracer.clear();
       sobs.ctx.samples.clear();
@@ -107,8 +97,6 @@ void run_sql(Database& db, const TranslatorProfile& profile,
       std::cout << strf("query DNF after %d job(s): %s\n",
                         run.metrics.job_count(),
                         run.metrics.fail_reason().c_str());
-      if (db.observer())
-        std::cout << "counters: " << sobs.ctx.metrics.summary_line() << "\n";
       return;
     }
     std::cout << run.result->to_string(25);
@@ -116,10 +104,7 @@ void run_sql(Database& db, const TranslatorProfile& profile,
                       "profile %s)\n",
                       run.result->row_count(), run.metrics.job_count(),
                       run.metrics.total_time_s(), profile.name.c_str());
-    if (sobs.profiling) {
-      std::cout << sobs.ctx.tracer.analyze_tree();
-      std::cout << "counters: " << sobs.ctx.metrics.summary_line() << "\n";
-    }
+    if (sobs.profiling) std::cout << sobs.ctx.tracer.analyze_tree();
   } catch (const Error& e) {
     std::cout << e.what() << "\n";
   }
@@ -179,36 +164,19 @@ int main(int argc, char** argv) {
   // is unchanged either way.
   sobs.ctx.profiler.set_enabled(env_flag("YSMART_PROFILE").value_or(true));
   const auto trace_env = env_nonempty("YSMART_TRACE");
-  const auto metrics_env = env_nonempty("YSMART_METRICS");
   const auto events_env = env_nonempty("YSMART_EVENTS");
-  const auto prom_port_env = env_positive_int("YSMART_PROM_PORT");
   if (const auto cap = env_positive_int("YSMART_HISTORY"))
     sobs.ctx.history.set_capacity(static_cast<std::size_t>(*cap));
-  const bool env_obs =
-      trace_env || metrics_env || events_env || prom_port_env;
+  const bool env_obs = trace_env || events_env;
   if (env_obs) {
     sobs.session_trace = trace_env.has_value();
     if (events_env) sobs.ctx.events.open_sink(*events_env);
     db.set_observer(&sobs.ctx);
   }
-  HttpListener listener;
-  if (prom_port_env) {
-    std::string err;
-    if (listener.start(*prom_port_env,
-                       [&sobs](const std::string& p) {
-                         return obs::serve_obs_endpoint(sobs.ctx, p);
-                       },
-                       &err))
-      std::cerr << "serving http://127.0.0.1:" << listener.port()
-                << "/metrics\n";
-    else
-      std::cerr << "warning: YSMART_PROM_PORT: " << err << "\n";
-  }
   auto write_env_outputs = [&] {
     if (trace_env)
       write_and_report(*trace_env,
                        sobs.ctx.tracer.chrome_json(obs::TimeAxis::Both));
-    if (metrics_env) write_and_report(*metrics_env, sobs.ctx.metrics.json());
     if (events_env && sobs.ctx.events.sink_open()) {
       sobs.ctx.events.close_sink();
       std::cout << "wrote " << *events_env << "\n";
@@ -227,8 +195,8 @@ int main(int argc, char** argv) {
                "[sql]  \\cluster "
                "[sql]  \\profile "
                "<ysmart|hive|pig|mrshare|hand|on|off>  \\trace <file>  "
-               "\\counters  \\history [k]  \\last [i]  \\top  \\hotspots  "
-               "\\flame <file>  \\serve <port|file>  \\tables  \\quit\n";
+               "\\history [k]  \\last [i]  \\top  \\hotspots  "
+               "\\flame <file>  \\tables  \\quit\n";
 
   std::string line;
   while (std::cout << "ysmart> " << std::flush, std::getline(std::cin, line)) {
@@ -257,7 +225,7 @@ int main(int argc, char** argv) {
           sobs.profiling = name == "on";
           if (sobs.profiling)
             db.set_observer(&sobs.ctx);
-          else if (!env_obs && !listener.running())
+          else if (!env_obs)
             db.set_observer(nullptr);
           std::cout << "profiling: " << name << "\n";
         } else {
@@ -276,14 +244,6 @@ int main(int argc, char** argv) {
         } else {
           write_and_report(path,
                            sobs.ctx.tracer.chrome_json(obs::TimeAxis::Both));
-        }
-        continue;
-      }
-      if (cmd == "counters") {
-        if (!db.observer()) {
-          std::cout << "no counters - \\profile on first\n";
-        } else {
-          std::cout << sobs.ctx.metrics.json() << "\n";
         }
         continue;
       }
@@ -338,34 +298,6 @@ int main(int argc, char** argv) {
         else
           write_and_report(path,
                            sobs.ctx.profiler.folded_stacks(sobs.ctx.tracer));
-        continue;
-      }
-      if (cmd == "serve") {
-        std::string arg;
-        iss >> arg;
-        if (arg.empty()) {
-          std::cout << "usage: \\serve <port>  (HTTP on 127.0.0.1) or "
-                       "\\serve <file>  (write exposition once)\n";
-        } else if (const auto port = parse_positive_int(arg)) {
-          if (!db.observer()) db.set_observer(&sobs.ctx);
-          std::string err;
-          if (listener.running())
-            std::cout << "already serving on port " << listener.port() << "\n";
-          else if (listener.start(*port,
-                                  [&sobs](const std::string& p) {
-                                    return obs::serve_obs_endpoint(sobs.ctx, p);
-                                  },
-                                  &err))
-            std::cout << "serving http://127.0.0.1:" << listener.port()
-                      << "/metrics\n";
-          else
-            std::cout << "cannot serve: " << err << "\n";
-        } else {
-          // Non-numeric argument: render the exposition to a file via the
-          // same pure renderer the endpoint uses (CI runs this socket-free).
-          if (!db.observer()) db.set_observer(&sobs.ctx);
-          write_and_report(arg, obs::render_prometheus(sobs.ctx));
-        }
         continue;
       }
       if (cmd == "analyze" || cmd == "cluster") {

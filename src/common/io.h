@@ -8,8 +8,8 @@ namespace ysmart {
 /// Write `body` (plus a trailing newline) to `path`, replacing any
 /// existing file. Failures — open errors and short/failed writes alike —
 /// are reported on stderr with the target path and yield false; this is
-/// what the shell's exit-time YSMART_TRACE/YSMART_METRICS/YSMART_EVENTS
-/// writers and the bench reports rely on to never fail silently.
+/// what the shell's exit-time YSMART_TRACE/YSMART_EVENTS writers and the
+/// bench reports rely on to never fail silently.
 bool write_text_file(const std::string& path, const std::string& body);
 
 }  // namespace ysmart

@@ -8,18 +8,6 @@
 
 namespace ysmart {
 
-namespace {
-
-/// Relaxed running-maximum update for the peak gauges.
-void update_peak(std::atomic<std::uint64_t>& peak, std::uint64_t value) {
-  std::uint64_t cur = peak.load(std::memory_order_relaxed);
-  while (value > cur &&
-         !peak.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0)
     threads = std::max(1u, std::thread::hardware_concurrency());
@@ -47,10 +35,7 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop();
     }
-    update_peak(peak_busy_workers_,
-                busy_workers_.fetch_add(1, std::memory_order_relaxed) + 1);
     task();
-    busy_workers_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
@@ -60,19 +45,9 @@ std::future<void> ThreadPool::submit(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push(std::move(task));
-    tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
-    update_peak(peak_queue_depth_, queue_.size());
   }
   cv_.notify_one();
   return fut;
-}
-
-ThreadPool::Stats ThreadPool::stats() const {
-  Stats s;
-  s.tasks_submitted = tasks_submitted_.load(std::memory_order_relaxed);
-  s.peak_queue_depth = peak_queue_depth_.load(std::memory_order_relaxed);
-  s.peak_busy_workers = peak_busy_workers_.load(std::memory_order_relaxed);
-  return s;
 }
 
 void ThreadPool::parallel_for(

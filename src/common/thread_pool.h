@@ -9,10 +9,8 @@
 // "Execution concurrency vs. simulated time").
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -53,16 +51,6 @@ class ThreadPool {
   /// the hardware-concurrency fallback applies. Engines default to it.
   static ThreadPool& shared();
 
-  /// Lightweight occupancy statistics, maintained with relaxed atomics so
-  /// they never serialize the workers. Cumulative since construction;
-  /// observability snapshots copy them into a MetricsRegistry.
-  struct Stats {
-    std::uint64_t tasks_submitted = 0;
-    std::uint64_t peak_queue_depth = 0;
-    std::uint64_t peak_busy_workers = 0;
-  };
-  Stats stats() const;
-
  private:
   void worker_loop();
 
@@ -71,11 +59,6 @@ class ThreadPool {
   std::queue<std::packaged_task<void()>> queue_;
   bool stop_ = false;
   std::vector<std::thread> workers_;
-
-  std::atomic<std::uint64_t> tasks_submitted_{0};
-  std::atomic<std::uint64_t> peak_queue_depth_{0};
-  std::atomic<std::uint64_t> busy_workers_{0};
-  std::atomic<std::uint64_t> peak_busy_workers_{0};
 };
 
 }  // namespace ysmart

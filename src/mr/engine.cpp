@@ -64,10 +64,9 @@ struct MapTaskResult {
   obs::TaskSample task;  // measured work + charged sim seconds
 };
 
-/// Collects reduce output rows per job output and counts bytes. One
-/// instance exists per reduce partition so partitions can run
-/// concurrently; the engine concatenates the partition tables in
-/// partition order afterwards.
+/// Collects reduce output rows per job output. One instance exists per
+/// reduce partition so partitions can run concurrently; the engine
+/// concatenates the partition tables in partition order afterwards.
 class CollectingReduceEmitter final : public ReduceEmitter {
  public:
   explicit CollectingReduceEmitter(const std::vector<JobOutput>& outputs) {
@@ -79,19 +78,13 @@ class CollectingReduceEmitter final : public ReduceEmitter {
     check(output_idx >= 0 &&
               static_cast<std::size_t>(output_idx) < tables_.size(),
           "reduce emitted to unknown output index");
-    bytes_ += row_byte_size(row);
-    ++records_;
     tables_[static_cast<std::size_t>(output_idx)]->append(std::move(row));
   }
 
   std::vector<std::shared_ptr<Table>>& tables() { return tables_; }
-  std::uint64_t bytes() const { return bytes_; }
-  std::uint64_t records() const { return records_; }
 
  private:
   std::vector<std::shared_ptr<Table>> tables_;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t records_ = 0;
 };
 
 /// Runs one map task and costs it: every attempt (the successful one plus
@@ -225,9 +218,11 @@ PartitionResult run_reduce_partition(const MRJobSpec& spec,
                     emitter);
   }
   reducer->finish(empty_key_partition, emitter);
-  t.output_records = emitter.records();
-  t.output_bytes = emitter.bytes();
   res.tables = std::move(emitter.tables());
+  for (const auto& table : res.tables) {
+    t.output_records += table->row_count();
+    t.output_bytes += table->byte_size();
+  }
 
   // Model the cost of one of the cluster's real reduce tasks: this sim
   // partition stands for 1/reducer_scale of them, each carrying a
@@ -330,7 +325,7 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
       static_cast<double>(num_reducers) / static_cast<double>(target_reducers);
   js.map_tasks.resize(tasks.size());
   js.reduce_tasks.resize(map_only ? 0 : static_cast<std::size_t>(num_reducers));
-  obs::observe(obs_, obs::JobPoint::Start, js, m, *pool_);
+  obs::observe(obs_, obs::JobPoint::Start, js, m);
 
   // ---- execute map tasks on the shared thread pool ----
   // Failure-retry draws happen here, in task order on this thread (and
@@ -372,7 +367,7 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
   }
   m.map.tasks = results.size();
   m.map_time_s = CostModel::makespan(map_task_times, js.map_slots);
-  obs::observe(obs_, obs::JobPoint::MapDone, js, m, *pool_);
+  obs::observe(obs_, obs::JobPoint::MapDone, js, m);
 
   // Intermediate-disk capacity check (how Pig's Q-CSA run died: the
   // intermediate results outgrew the test machines' disks). Hadoop keeps
@@ -488,7 +483,7 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
       dfs_.write(spec.outputs[i].path, std::move(t));
     }
   }
-  obs::observe(obs_, obs::JobPoint::Done, js, m, *pool_);
+  obs::observe(obs_, obs::JobPoint::Done, js, m);
   return m;
 }
 

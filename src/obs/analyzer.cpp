@@ -127,34 +127,22 @@ AnalyzerReport analyze_query(const QueryTaskSamples& query,
   }
 
   // ---- critical path over dependency waves ----
-  // Jobs arrive in execution order with non-decreasing wave ids;
-  // standalone engine runs carry wave -1 and are treated as serial (each
-  // its own wave). The fold below reproduces run_translated()'s
-  // wall_time_s accumulation operation-for-operation — per wave,
-  // elapsed = max over jobs (first max wins ties), then summed in wave
-  // order — so critical_path_s == wall_time_s exactly.
-  for (std::size_t i = 0; i < rep.jobs.size();) {
-    WaveAnalysis wa;
-    const int wave_id = rep.jobs[i].wave;
-    wa.wave = wave_id < 0 ? static_cast<int>(i) : wave_id;
-    std::size_t j = i;
-    for (; j < rep.jobs.size(); ++j) {
-      if (wave_id < 0 && j > i) break;  // standalone: one job per wave
-      if (wave_id >= 0 && rep.jobs[j].wave != wave_id) break;
-      if (wa.critical_job < 0 || rep.jobs[j].total_s > wa.elapsed_s) {
-        wa.elapsed_s = rep.jobs[j].total_s;
+  // Each wave's elapsed time is the executor's record; its critical job
+  // is the first one whose total reaches it. The critical path is the
+  // cluster view's makespan: the same records summed in wave order.
+  rep.cluster = build_cluster_view(query);
+  rep.critical_path_s = rep.cluster.makespan_s;
+  for (const QueryWave& w : query_waves(query)) {
+    WaveAnalysis wa{w.index, w.elapsed_s, -1, static_cast<int>(w.end - w.first)};
+    for (std::size_t j = w.first; j < w.end; ++j) {
+      JobAnalysis& ja = rep.jobs[j];
+      ja.slack_s = w.elapsed_s - ja.total_s;
+      if (wa.critical_job < 0 && ja.total_s == w.elapsed_s) {
         wa.critical_job = static_cast<int>(j);
+        ja.on_critical_path = true;
       }
-      ++wa.job_count;
     }
-    for (std::size_t jj = i; jj < j; ++jj) {
-      rep.jobs[jj].slack_s = wa.elapsed_s - rep.jobs[jj].total_s;
-      rep.jobs[jj].on_critical_path =
-          static_cast<int>(jj) == wa.critical_job;
-    }
-    rep.critical_path_s += wa.elapsed_s;
     rep.waves.push_back(wa);
-    i = j;
   }
   for (auto& ja : rep.jobs) {
     rep.serial_total_s += ja.total_s;
@@ -236,8 +224,6 @@ AnalyzerReport analyze_query(const QueryTaskSamples& query,
     rep.diagnosis.push_back(
         "no significant skew, stragglers or hot keys detected");
 
-  // ---- cluster doctor: node-level rollups and diagnosis ----
-  rep.cluster = build_cluster_view(query);
   return rep;
 }
 

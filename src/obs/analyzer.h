@@ -17,15 +17,16 @@
 //                  threshold 2.0) in a phase with at least 2 tasks.
 //  * critical path — jobs group into dependency waves (the DAG
 //                  executor's submission waves); a wave's elapsed time
-//                  is its slowest job's total and the critical path is
-//                  the sum of wave elapsed times, accumulated in wave
-//                  order. This reproduces the executor's wall_time_s
-//                  computation operation-for-operation, so under any
+//                  is the executor's own record of it (obs/task_samples.h)
+//                  and the critical path is those records summed in wave
+//                  order, as the executor sums wall_time_s — so under any
 //                  submission mode critical_path_s == wall_time_s
 //                  exactly, and under serial submission it also equals
-//                  the serial job-time sum. Per-job slack is the wave's
-//                  elapsed time minus the job's total: how much longer
-//                  the job could have run without growing the makespan.
+//                  the serial job-time sum. A wave's critical job is the
+//                  first whose total equals the wave's elapsed time.
+//                  Per-job slack is the wave's elapsed time minus the
+//                  job's total: how much longer the job could have run
+//                  without growing the makespan.
 #pragma once
 
 #include <cstdint>
@@ -133,7 +134,8 @@ PhaseSkewStats phase_stats(const std::vector<TaskSample>& tasks,
                            const AnalyzerOptions& opts = {});
 
 /// Analyze one query's samples. Jobs with wave -1 (standalone engine
-/// runs) are treated as serial: each forms its own wave in order.
+/// runs) are treated as serial: each forms its own wave in order. Throws
+/// InternalError when a job names a wave that has no record.
 AnalyzerReport analyze_query(const QueryTaskSamples& query,
                              const AnalyzerOptions& opts = {});
 

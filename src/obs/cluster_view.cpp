@@ -119,24 +119,13 @@ ClusterReport build_cluster_view(const QueryTaskSamples& query,
   for (int n = 0; n < nodes; ++n)
     rep.nodes[static_cast<std::size_t>(n)].node = n;
 
-  // ---- wave fold: job start offsets and the query makespan ----
-  // Reproduces the analyzer's critical-path fold (and therefore the DAG
-  // executor's wall_time_s) operation-for-operation: per wave,
-  // elapsed = max job total (first max wins), summed in wave order.
-  // Jobs with wave -1 (standalone runs) are serial, one wave each.
+  // ---- job start offsets and the query makespan ----
+  // Running sums of the executor's recorded wave times, in wave order:
+  // the makespan is exactly the executor's wall_time_s.
   std::vector<double> job_start(query.jobs.size(), 0.0);
-  for (std::size_t i = 0; i < query.jobs.size();) {
-    const int wave_id = query.jobs[i].wave;
-    double elapsed = 0;
-    std::size_t j = i;
-    for (; j < query.jobs.size(); ++j) {
-      if (wave_id < 0 && j > i) break;
-      if (wave_id >= 0 && query.jobs[j].wave != wave_id) break;
-      job_start[j] = rep.makespan_s;
-      elapsed = std::max(elapsed, query.jobs[j].total_time_s());
-    }
-    rep.makespan_s += elapsed;
-    i = j;
+  for (const QueryWave& w : query_waves(query)) {
+    for (std::size_t j = w.first; j < w.end; ++j) job_start[j] = w.start_s;
+    rep.makespan_s = w.start_s + w.elapsed_s;
   }
 
   // ---- per-node rollups, traffic matrix, timeline ----

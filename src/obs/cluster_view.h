@@ -133,8 +133,8 @@ struct ClusterJobInfo {
 
 struct ClusterReport {
   int worker_nodes = 0;
-  /// Wave-fold makespan — equals the analyzer's critical_path_s and the
-  /// executor's wall_time_s exactly.
+  /// The recorded wave times summed in wave order: the executor's
+  /// wall_time_s exactly, and the analyzer's critical_path_s.
   double makespan_s = 0;
   double busy_total_s = 0;
   /// Population CV of per-node busy seconds (0 when mean is 0).

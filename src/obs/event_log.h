@@ -1,9 +1,9 @@
 // Structured event journal: leveled, categorized JSONL events that
 // obs::observe() derives from the query, wave and job records.
 //
-// Where the tracer answers "how long did each region take" and the
-// metrics registry answers "how much work was done", the event journal
-// answers "what happened, in order": query started, wave scheduled, map
+// Where the tracer answers "how long did each region take" and
+// QueryMetrics "how much work was done", the event journal answers
+// "what happened, in order": query started, wave scheduled, map
 // phase finished, task retried, job failed. Each event carries
 //
 //  * a monotonic sequence number (per log, never reused),

@@ -9,8 +9,7 @@
 // failure reason or error, and the query doctor's rendered report),
 // retaining the most recent N under ring retention. The shell surfaces
 // it as \history [k] and \last [i] (re-print a past query's analyze tree
-// without re-running it), and the HTTP listener exports it whole as
-// /history.json.
+// without re-running it).
 //
 // Everything stored is copied from values already computed for the run;
 // recording happens on the orchestrating thread after execution, so an

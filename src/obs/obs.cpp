@@ -1,6 +1,5 @@
 #include "obs/obs.h"
 
-#include "common/thread_pool.h"
 #include "mr/metrics.h"
 #include "obs/analyzer.h"
 
@@ -45,10 +44,8 @@ void map_done(ObsContext& obs, const JobTaskSamples& job, const JobMetrics& m) {
   obs.tracer.arg(job.map_span, "tasks", m.map.tasks);
   obs.tracer.arg(job.map_span, "input_bytes", m.map.input_bytes);
   obs.tracer.arg(job.map_span, "output_bytes", m.map.output_bytes);
-  for (const auto& t : job.map_tasks) {
-    obs.metrics.observe("engine.map.task_sim_seconds", t.sim_seconds);
+  for (const auto& t : job.map_tasks)
     obs.progress.task_done(/*reduce_phase=*/false, t.sim_seconds);
-  }
   task_faults(obs, job.job_name, job.map_tasks, "map", t0);
   obs.progress.phase_done(/*reduce_phase=*/false, stragglers(job.map_tasks));
   obs.events.emit(EventLevel::Info, EventCategory::Map, "map-phase-done",
@@ -59,8 +56,7 @@ void map_done(ObsContext& obs, const JobTaskSamples& job, const JobMetrics& m) {
                    {"makespan_s", m.map_time_s}});
 }
 
-void job_done(ObsContext& obs, JobTaskSamples& job, const JobMetrics& m,
-              const ThreadPool& pool) {
+void job_done(ObsContext& obs, JobTaskSamples& job, const JobMetrics& m) {
   if (!job.map_only) {
     // The simulated reduce time includes shuffle transfer and merge: the
     // cost model charges them per reduce task, like Hadoop bills its
@@ -69,12 +65,6 @@ void job_done(ObsContext& obs, JobTaskSamples& job, const JobMetrics& m,
     obs.tracer.set_sim(job.reduce_span, t0, m.reduce_time_s);
     obs.tracer.arg(job.reduce_span, "tasks", m.reduce.tasks);
     obs.tracer.arg(job.reduce_span, "shuffle_bytes_wire", m.shuffle_bytes_wire);
-    // One observation per *modeled* task: task i ran as simulated
-    // partition i % partitions, as the engine's makespan has it.
-    for (std::uint64_t i = 0; i < m.reduce.tasks; ++i)
-      obs.metrics.observe(
-          "engine.reduce.task_sim_seconds",
-          job.reduce_tasks[i % job.reduce_tasks.size()].sim_seconds);
     for (const auto& t : job.reduce_tasks)
       obs.progress.task_done(/*reduce_phase=*/true, t.sim_seconds);
     task_faults(obs, job.job_name, job.reduce_tasks, "reduce", t0);
@@ -106,28 +96,6 @@ void job_done(ObsContext& obs, JobTaskSamples& job, const JobMetrics& m,
   for (const auto* phase : {&job.map_tasks, &job.reduce_tasks})
     for (const auto& t : *phase)
       retries += static_cast<std::uint64_t>(t.attempts - 1);
-  auto& reg = obs.metrics;
-  reg.add("engine.jobs.run", 1);
-  reg.add("engine.map.tasks", m.map.tasks);
-  reg.add("engine.map.input_bytes", m.map.input_bytes);
-  reg.add("engine.map.output_bytes", m.map.output_bytes);
-  reg.add("engine.map.remote_read_bytes", m.remote_read_bytes);
-  reg.add("engine.shuffle.bytes_raw", m.shuffle_bytes_raw);
-  reg.add("engine.shuffle.bytes_wire", m.shuffle_bytes_wire);
-  reg.add("engine.reduce.tasks", m.reduce.tasks);
-  reg.add("engine.reduce.output_bytes", m.reduce.output_bytes);
-  reg.add("engine.dfs.write_bytes", m.dfs_write_bytes);
-  reg.add("engine.tasks.retries", retries);
-  if (m.failed) {
-    reg.add("engine.jobs.failed", 1);
-    reg.note("engine.last_fail_reason", m.job_name + ": " + m.fail_reason);
-  }
-  const ThreadPool::Stats ps = pool.stats();
-  reg.set("pool.tasks.submitted", ps.tasks_submitted);
-  reg.set_max("pool.queue.peak_depth", ps.peak_queue_depth);
-  reg.set_max("pool.workers.peak_busy", ps.peak_busy_workers);
-  reg.set("pool.workers.size", pool.size());
-
   if (m.failed)
     obs.events.emit(EventLevel::Error, EventCategory::Fault, "job-failed", end,
                     {{"job", m.job_name},
@@ -150,10 +118,9 @@ void job_done(ObsContext& obs, JobTaskSamples& job, const JobMetrics& m,
 }
 
 void query_done(ObsContext& obs, QueryRecord& q) {
-  obs.in_wave = false;  // a run that threw can leave its wave open
   const QueryMetrics* m = q.metrics;
-  if (m) obs.samples.set_wall_time(m->wall_time_s);
   const QueryTaskSamples qs = obs.samples.last_query();
+  obs.samples.end_query();
   const AnalyzerReport report = analyze_query(qs);
   // wall_time_s is the modeled end-to-end elapsed time (waves overlap
   // under concurrent submission); total_time_s is the serial sum. A run
@@ -192,12 +159,12 @@ void query_done(ObsContext& obs, QueryRecord& q) {
 }  // namespace
 
 void observe(ObsContext* obs, JobPoint at, JobTaskSamples& job,
-             const JobMetrics& m, const ThreadPool& pool) {
+             const JobMetrics& m) {
   if (!obs) return;
   switch (at) {
     case JobPoint::Start: return job_start(*obs, job, m);
     case JobPoint::MapDone: return map_done(*obs, job, m);
-    case JobPoint::Done: return job_done(*obs, job, m, pool);
+    case JobPoint::Done: return job_done(*obs, job, m);
   }
 }
 
@@ -208,8 +175,8 @@ void observe(ObsContext* obs, WavePoint at, WaveRecord& wave) {
   if (at == WavePoint::Start) {
     wave.sim_start_s = obs->tracer.sim_now();
     obs->in_wave = true;
-    // Stamp the wave's jobs in the sample store: the analyzer regroups
-    // them by wave to reproduce the executor's wall-time fold exactly.
+    // Stamp the wave's jobs in the sample store; Done keeps the wave's
+    // record next to them.
     obs->samples.set_current_wave(wave.index);
     obs->progress.begin_wave(wave.index, wave.jobs);
     obs->events.emit(EventLevel::Info, EventCategory::Schedule, "wave-start",
@@ -217,6 +184,7 @@ void observe(ObsContext* obs, WavePoint at, WaveRecord& wave) {
     return;
   }
   const double end = wave.sim_start_s + wave.elapsed_s;
+  obs->samples.record_wave({wave.index, wave.elapsed_s});
   obs->tracer.set_sim(wave.span, wave.sim_start_s, wave.elapsed_s);
   obs->tracer.arg(wave.span, "jobs", jobs);
   obs->tracer.set_sim_now(end);

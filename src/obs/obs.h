@@ -4,8 +4,7 @@
 // owning) to a Database/Engine via set_observer()/set_obs():
 //
 //   tracer    per-query span tree (Chrome trace / EXPLAIN ANALYZE)
-//   metrics   session counters, gauges and histograms
-//   samples   per-task telemetry for the query-doctor analyzer
+//   samples   per-task and per-wave records for the query doctor
 //   events    structured event journal (leveled, categorized JSONL)
 //   progress  live per-wave/per-job task-completion state (\top, --progress)
 //   history   cross-query flight recorder (last N completed queries)
@@ -36,7 +35,6 @@
 
 #include "obs/event_log.h"
 #include "obs/history.h"
-#include "obs/metrics_registry.h"
 #include "obs/plan_view.h"
 #include "obs/profiler.h"
 #include "obs/progress.h"
@@ -44,7 +42,6 @@
 #include "obs/trace.h"
 
 namespace ysmart {
-class ThreadPool;
 struct JobMetrics;
 struct QueryMetrics;
 }  // namespace ysmart
@@ -53,7 +50,6 @@ namespace ysmart::obs {
 
 struct ObsContext {
   Tracer tracer;
-  MetricsRegistry metrics;
   TaskSampleStore samples;
   EventLog events;
   ProgressTracker progress;
@@ -67,7 +63,6 @@ struct ObsContext {
 
   void clear() {
     tracer.clear();
-    metrics.clear();
     samples.clear();
     events.clear();
     progress.clear();
@@ -143,15 +138,17 @@ class PhaseScope : public ScopedSpan {
 /// outputs are written. `m` is the job's JobMetrics as filled so far.
 enum class JobPoint { Start, MapDone, Done };
 void observe(ObsContext* obs, JobPoint at, JobTaskSamples& job,
-             const JobMetrics& m, const ThreadPool& pool);
+             const JobMetrics& m);
 
 /// One dependency wave of the DAG executor: jobs submitted together.
+/// Done is published on every exit, also when a job of the wave threw,
+/// so every recorded job has its wave's record.
 struct WaveRecord {
   int index = 0;
   std::size_t jobs = 0;
   int span = -1;             // the wave's tracer span
   double sim_start_s = 0;    // set at Start from the tracer's cursor
-  double elapsed_s = 0;      // the slowest job's total
+  double elapsed_s = 0;      // the slowest finished job's total
   bool aborts = false;       // a job failed: no later wave runs
   std::size_t pending_jobs = 0;  // jobs never scheduled after the abort
 };

@@ -875,38 +875,6 @@ CalibrationSnapshot PlanViewStore::calibration() const {
   return snap;
 }
 
-std::string PlanViewStore::json() const {
-  PlanReport last;
-  bool has_last = false;
-  std::size_t report_count = 0;
-  CalibrationSnapshot snap;
-  bool is_enabled = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    is_enabled = enabled_;
-    snap.capacity = capacity_;
-    snap.total_recorded = next_id_ - 1;
-    snap.samples = ring_;
-    report_count = reports_.size();
-    if (!reports_.empty()) {
-      last = reports_.back();
-      has_last = true;
-    }
-  }
-  JsonWriter w;
-  w.begin_object();
-  w.kv("enabled", is_enabled);
-  w.kv("reports", static_cast<std::uint64_t>(report_count));
-  w.key("last");
-  if (has_last)
-    last.to_json(w, /*full=*/true);
-  else
-    w.raw("null");
-  w.key("calibration").raw(calibration_json(snap));
-  w.end_object();
-  return w.take();
-}
-
 void PlanViewStore::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   pending_.clear();

@@ -205,7 +205,7 @@ struct PlanReport {
   /// EXPLAIN ANALYZE-style indented text with the ranked-misses section.
   std::string text() const;
   /// JSON object; full=true adds per-job work-group task shapes (the
-  /// --explain document / /plan.json shape), full=false is the compact
+  /// --explain document shape), full=false is the compact
   /// form embedded under a bench record's "plan" key. Deterministic key
   /// order, %.17g doubles.
   void to_json(JsonWriter& w, bool full = true) const;
@@ -277,9 +277,6 @@ class PlanViewStore {
   std::size_t report_count() const;
   bool last_report(PlanReport* out) const;
   CalibrationSnapshot calibration() const;
-
-  /// The /plan.json document: {"enabled":...,"last":...,"calibration":...}.
-  std::string json() const;
 
   /// Drop predictions, reports and the ring; keeps the enabled state
   /// (mirrors HostProfiler::clear).

@@ -17,17 +17,17 @@
 //    appears in the map samples and `reduce_tasks` stays empty.
 //  * Reduce samples exist per *simulated* partition (at most
 //    Engine::kMaxSimReducers); `target_reduce_tasks` records the real
-//    modeled task count the partition times were expanded to. The
-//    registry's reduce-task histogram is fed from these samples, one
-//    observation per modeled task (sample index = task % partitions), so
-//    registry and samples reconcile exactly.
+//    modeled task count the partition times were expanded to (modeled
+//    task i ran as sample i % partitions).
 //  * `tag_records` is the per-source-tag record distribution of a CMF
 //    common job's reduce input — the per-merged-job view the paper's
 //    Fig. 9 discussion reasons about. Plain jobs have a single tag.
 //  * The observed query lifecycle groups into queries: Database::run
-//    begins a new group; standalone Engine::run calls land in an
-//    implicit group 0. The DAG executor stamps each job with its
-//    dependency-wave index (-1 when no executor was involved).
+//    opens a new group and closes it when the query is done; standalone
+//    Engine::run calls outside a query share one implicit group, opened
+//    by the first of them. The DAG executor stamps each job with its
+//    dependency-wave index (-1 when no executor was involved) and keeps
+//    each finished wave's record, its elapsed time, with the group.
 //  * Node identity (the cluster axis, obs/cluster_view.h): a map task
 //    runs on its round-robin TaskTracker node (task index %
 //    worker_nodes, the same assignment the engine uses for the locality
@@ -70,8 +70,7 @@ struct TaskSample {
   std::uint64_t shuffle_bytes_prescale = 0;
 
   /// Simulated seconds charged for the task, including every simulated
-  /// failure attempt (matches the value fed to the makespan and to the
-  /// registry histograms).
+  /// failure attempt (matches the value fed to the makespan).
   double sim_seconds = 0;
   int attempts = 1;  // 1 = clean run; attempts-1 = retries
   bool exhausted = false;  // the last allowed attempt failed too
@@ -134,28 +133,51 @@ struct JobTaskSamples {
   }
 };
 
+/// The DAG executor's record of one finished dependency wave.
+struct WaveSample {
+  int index = 0;
+  double elapsed_s = 0;  // its slowest job's total, as the executor took it
+};
+
 struct QueryTaskSamples {
   std::vector<JobTaskSamples> jobs;
-  /// Modeled end-to-end elapsed time (QueryMetrics::wall_time_s), set by
-  /// the DAG executor; -1 for standalone engine runs.
-  double wall_time_s = -1;
+  std::vector<WaveSample> waves;  // in execution order
 };
+
+/// One wave of a query's jobs, laid out on the query's simulated timeline.
+struct QueryWave {
+  /// The executor's wave index; a standalone job (wave -1) forms its own
+  /// wave, numbered by its position in QueryTaskSamples::jobs.
+  int index = 0;
+  std::size_t first = 0, end = 0;  // its jobs: jobs[first, end)
+  double elapsed_s = 0;  // the executor's record; a standalone job's total
+  double start_s = 0;    // running sum of the earlier waves' elapsed times
+};
+
+/// The query's jobs grouped into waves, in execution order. The last
+/// wave ends at start_s + elapsed_s: the same sum, in the same order, as
+/// the executor's QueryMetrics::wall_time_s. Throws InternalError when a
+/// job names a wave that has no record.
+std::vector<QueryWave> query_waves(const QueryTaskSamples& query);
 
 /// Thread-safe container of sampled queries; owned by ObsContext.
 class TaskSampleStore {
  public:
-  /// Start a new query group (Database::run). Resets the wave cursor.
+  /// Open a new query group (Database::run). Resets the wave cursor.
   void begin_query();
+  /// Close the current query group and reset the wave cursor: a later
+  /// standalone engine run opens an implicit group of its own.
+  void end_query();
 
   /// Stamp subsequent record_job() calls with dependency wave `wave`.
   void set_current_wave(int wave);
 
-  /// Append one executed job's samples to the current query group (an
-  /// implicit group is created for standalone engine runs).
+  /// Append one executed job's samples to the open group (opening an
+  /// implicit group for a standalone engine run outside a query).
   void record_job(JobTaskSamples samples);
 
-  /// Record the current query's modeled end-to-end time.
-  void set_wall_time(double seconds);
+  /// Append one finished wave's record to the open group.
+  void record_wave(WaveSample wave);
 
   std::size_t query_count() const;
   std::size_t total_jobs() const;
@@ -165,8 +187,11 @@ class TaskSampleStore {
   void clear();
 
  private:
+  QueryTaskSamples& open_group();  // callers hold mu_
+
   mutable std::mutex mu_;
   std::vector<QueryTaskSamples> queries_;
+  bool group_open_ = false;
   int current_wave_ = -1;
 };
 

@@ -51,17 +51,24 @@ QueryRunResult run_translated(const TranslatedQuery& query, Engine& engine,
                         wave_span.id()};
     obs::observe(engine.obs(), obs::WavePoint::Start, rec);
     ++wave_idx;
-    for (std::size_t i : wave) {
-      const auto& job = query.jobs[i];
-      MRJobSpec spec = build_common_job(job, profile, engine.dfs());
-      JobMetrics m = engine.run(spec);
-      rec.elapsed_s = std::max(rec.elapsed_s, m.total_time_s());
-      any_failed |= m.failed;
-      out.metrics.jobs.push_back(std::move(m));
-      for (const auto& o : job.outputs) {
-        available.insert(o.path);
-        if (o.path != result_path) scratch_paths.insert(o.path);
+    try {
+      for (std::size_t i : wave) {
+        const auto& job = query.jobs[i];
+        MRJobSpec spec = build_common_job(job, profile, engine.dfs());
+        JobMetrics m = engine.run(spec);
+        rec.elapsed_s = std::max(rec.elapsed_s, m.total_time_s());
+        any_failed |= m.failed;
+        out.metrics.jobs.push_back(std::move(m));
+        for (const auto& o : job.outputs) {
+          available.insert(o.path);
+          if (o.path != result_path) scratch_paths.insert(o.path);
+        }
       }
+    } catch (...) {
+      // Publish the wave on every exit, as Database::run does its query,
+      // so every job the observer recorded has its wave's record.
+      obs::observe(engine.obs(), obs::WavePoint::Done, rec);
+      throw;
     }
     out.metrics.wall_time_s += rec.elapsed_s;
     rec.aborts = any_failed;

@@ -1,8 +1,9 @@
 // Tests for the query doctor (src/obs/analyzer.h) and its inputs: the
 // Space-Saving heavy-hitter sketch, the task sample store, skew and
 // hot-key detection on an engine-level job, and — the load-bearing
-// guarantee — that the analyzer's critical path reproduces the DAG
-// executor's wall_time_s bit-for-bit.
+// guarantee — that the analyzer's critical path, read from the
+// executor's wave records, equals the DAG executor's wall_time_s
+// bit-for-bit.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +11,7 @@
 
 #include "api/database.h"
 #include "common/json.h"
+#include "common/thread_pool.h"
 #include "data/queries.h"
 #include "data/tpch_gen.h"
 #include "mr/engine.h"
@@ -101,17 +103,63 @@ TEST(TaskSampleStore, ImplicitGroupAndWaveStamping) {
   obs::JobTaskSamples j3;
   j3.job_name = "wave1";
   store.record_job(std::move(j3));
-  store.set_wall_time(12.5);
+  store.record_wave({1, 12.5});
   EXPECT_EQ(store.query_count(), 2u);
   const auto q = store.last_query();
   ASSERT_EQ(q.jobs.size(), 2u);
   EXPECT_EQ(q.jobs[0].wave, 0);
   EXPECT_EQ(q.jobs[1].wave, 1);
-  EXPECT_DOUBLE_EQ(q.wall_time_s, 12.5);
+  ASSERT_EQ(q.waves.size(), 1u);
+  EXPECT_EQ(q.waves[0].index, 1);
+  EXPECT_DOUBLE_EQ(q.waves[0].elapsed_s, 12.5);
   EXPECT_EQ(store.total_jobs(), 3u);
+
+  // A standalone run after the query is done opens a group of its own
+  // with wave -1, and the next standalone run joins it.
+  store.end_query();
+  obs::JobTaskSamples j4;
+  j4.job_name = "after-query";
+  store.record_job(std::move(j4));
+  EXPECT_EQ(store.query_count(), 3u);
+  EXPECT_EQ(store.query(1).jobs.size(), 2u);
+  obs::JobTaskSamples j5;
+  j5.job_name = "after-query-2";
+  store.record_job(std::move(j5));
+  EXPECT_EQ(store.query_count(), 3u);
+  const auto standalone = store.last_query();
+  ASSERT_EQ(standalone.jobs.size(), 2u);
+  EXPECT_EQ(standalone.jobs[0].wave, -1);
+  EXPECT_EQ(standalone.jobs[1].wave, -1);
+  EXPECT_TRUE(standalone.waves.empty());
 }
 
 // ---- engine-level skew: one hot key dominates a reduce partition ----
+
+/// Counts the records of each key of /in's first column into `out_path`.
+MRJobSpec counting_spec(const std::string& name, const std::string& out_path) {
+  MRJobSpec spec;
+  spec.name = name;
+  spec.inputs = {{"/in", 0}};
+  Schema out;
+  out.add("k", ValueType::Int);
+  out.add("n", ValueType::Int);
+  spec.outputs = {{out_path, out}};
+  spec.key_column_names = {"k"};
+  struct M final : Mapper {
+    void map(const Row& r, int, MapEmitter& e) override {
+      e.emit(Row{r[0]}, Row{Value{1}});
+    }
+  };
+  struct R final : Reducer {
+    void reduce(const Row& k, std::span<const KeyValue> v,
+                ReduceEmitter& e) override {
+      e.emit(Row{k[0], Value{static_cast<std::int64_t>(v.size())}});
+    }
+  };
+  spec.make_mapper = [] { return std::make_unique<M>(); };
+  spec.make_reducer = [] { return std::make_unique<R>(); };
+  return spec;
+}
 
 TEST(AnalyzerSkew, HotKeyIsTopHeavyHitterAndDiagnosed) {
   // ~31% of all records share one key; the rest spread over 97 keys.
@@ -128,28 +176,7 @@ TEST(AnalyzerSkew, HotKeyIsTopHeavyHitterAndDiagnosed) {
   obs::ObsContext obs;
   engine.set_obs(&obs);
 
-  MRJobSpec spec;
-  spec.name = "skewed-count";
-  spec.inputs = {{"/in", 0}};
-  Schema out;
-  out.add("k", ValueType::Int);
-  out.add("n", ValueType::Int);
-  spec.outputs = {{"/out", out}};
-  spec.key_column_names = {"k"};
-  struct M final : Mapper {
-    void map(const Row& r, int, MapEmitter& e) override {
-      e.emit(Row{r[0]}, Row{Value{1}});
-    }
-  };
-  struct R final : Reducer {
-    void reduce(const Row& k, std::span<const KeyValue> v,
-                ReduceEmitter& e) override {
-      e.emit(Row{k[0], Value{static_cast<std::int64_t>(v.size())}});
-    }
-  };
-  spec.make_mapper = [] { return std::make_unique<M>(); };
-  spec.make_reducer = [] { return std::make_unique<R>(); };
-  const JobMetrics m = engine.run(spec);
+  const JobMetrics m = engine.run(counting_spec("skewed-count", "/out"));
   ASSERT_FALSE(m.failed);
 
   ASSERT_EQ(obs.samples.query_count(), 1u);
@@ -214,11 +241,15 @@ TEST(AnalyzerCriticalPath, SerialSubmissionEqualsWallTimeExactly) {
   ASSERT_GT(run.metrics.job_count(), 1);
 
   const obs::QueryTaskSamples q = obs.samples.last_query();
-  EXPECT_EQ(q.wall_time_s, run.metrics.wall_time_s);
+  // One record per wave, summing to the executor's wall time.
+  ASSERT_EQ(q.waves.size(), q.jobs.size());
+  double recorded = 0;
+  for (const auto& w : q.waves) recorded += w.elapsed_s;
+  EXPECT_EQ(recorded, run.metrics.wall_time_s);
   const obs::AnalyzerReport rep = analyze_query(q);
   ASSERT_EQ(rep.jobs.size(), static_cast<std::size_t>(run.metrics.job_count()));
-  // Bit-exact double equality, not approximate: the analyzer replays the
-  // executor's wall-time fold operation for operation.
+  // Bit-exact double equality, not approximate: the analyzer sums the
+  // executor's own wave records in the executor's order.
   EXPECT_EQ(rep.critical_path_s, run.metrics.wall_time_s);
   // Serial submission: one job per wave, so the critical path is the
   // serial sum and every job is critical with zero slack.
@@ -263,6 +294,45 @@ TEST(AnalyzerCriticalPath, ConcurrentSubmissionMatchesWallAndBoundsSum) {
     EXPECT_DOUBLE_EQ(cj.slack_s, 0.0);
     EXPECT_DOUBLE_EQ(cj.total_s, w.elapsed_s);
   }
+}
+
+TEST(AnalyzerCriticalPath, StandaloneJobAfterAQueryFormsItsOwnGroup) {
+  // One observer sees a query through Database::run and then a job on a
+  // standalone engine: the job must not join the query's group.
+  ThreadPool pool(2);
+  const ClusterConfig cfg = ClusterConfig::small_local(50);
+  Database db(cfg, &pool);
+  TpchConfig tc;
+  tc.orders = 300;
+  tc.parts = 60;
+  tc.customers = 40;
+  tc.suppliers = 50;
+  const auto tpch = generate_tpch(tc);
+  db.create_table("lineitem", tpch.lineitem);
+  db.create_table("orders", tpch.orders);
+  db.create_table("supplier", tpch.supplier);
+  db.create_table("nation", tpch.nation);
+  obs::ObsContext obs;
+  db.set_observer(&obs);
+  const auto run = db.run(queries::q21().sql, TranslatorProfile::ysmart());
+  ASSERT_FALSE(run.metrics.failed());
+
+  Dfs dfs(cfg.worker_nodes, cfg.scaled_block_bytes(), cfg.replication);
+  dfs.write("/in", small_clicks());
+  Engine engine(dfs, cfg, &pool);
+  engine.set_obs(&obs);
+  ASSERT_FALSE(engine.run(counting_spec("after-q21", "/out")).failed);
+
+  ASSERT_EQ(obs.samples.query_count(), 2u);
+  const obs::QueryTaskSamples q21 = obs.samples.query(0);
+  EXPECT_EQ(q21.jobs.size(),
+            static_cast<std::size_t>(run.metrics.job_count()));
+  EXPECT_EQ(analyze_query(q21).critical_path_s, run.metrics.wall_time_s);
+  const obs::QueryTaskSamples standalone = obs.samples.query(1);
+  ASSERT_EQ(standalone.jobs.size(), 1u);
+  EXPECT_EQ(standalone.jobs[0].wave, -1);
+  EXPECT_EQ(analyze_query(standalone).critical_path_s,
+            standalone.jobs[0].total_time_s());
 }
 
 // ---- the acceptance scenario: TPC-H Q21 under the full translator ----

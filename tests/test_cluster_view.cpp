@@ -134,8 +134,8 @@ TEST(ClusterView, TimelineReplayReproducesPhaseMakespansExactly) {
   ASSERT_FALSE(out.run.metrics.failed());
   const obs::ClusterReport rep = obs::build_cluster_view(out.samples);
 
-  // The wave fold equals the executor's modeled end-to-end time
-  // bit-for-bit (same fold as the analyzer's critical path).
+  // The makespan, summed from the executor's wave records, equals its
+  // modeled end-to-end time bit-for-bit.
   EXPECT_EQ(rep.makespan_s, out.run.metrics.wall_time_s);
 
   ASSERT_EQ(rep.jobs.size(), out.samples.jobs.size());
@@ -249,7 +249,7 @@ obs::QueryTaskSamples synthetic_query(int nodes, int map_tasks,
     js.reduce_tasks.push_back(std::move(t));
   }
   q.jobs.push_back(std::move(js));
-  q.wall_time_s = 15;
+  q.waves.push_back({0, 15});  // the executor's record of wave 0
   return q;
 }
 

@@ -1,9 +1,10 @@
 // Tests for the observability subsystem (src/obs) and its supporting
-// pieces: the JSON writer, env parsing, span tracer, metrics registry,
+// pieces: the JSON writer, env parsing, span tracer, task samples,
 // and — the load-bearing guarantees — that observation never perturbs
 // simulated results and that the simulated-axis trace is deterministic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
@@ -16,6 +17,7 @@
 #include "common/json.h"
 #include "data/queries.h"
 #include "data/tpch_gen.h"
+#include "obs/analyzer.h"
 #include "obs/obs.h"
 #include "storage/table.h"
 
@@ -325,35 +327,7 @@ TEST(QueryTrace, ObservationDoesNotPerturbSimulatedMetrics) {
   EXPECT_EQ(plain.result->row_count(), traced.result->row_count());
 }
 
-// ---- metrics registry ----
-
-TEST(Metrics, CountersReconcileWithQueryMetrics) {
-  auto db = fresh_db();
-  obs::ObsContext obs;
-  db->set_observer(&obs);
-  auto run = db->run(queries::qcsa().sql, TranslatorProfile::hive());
-  ASSERT_FALSE(run.metrics.failed());
-
-  const auto& m = run.metrics;
-  const auto& reg = obs.metrics;
-  EXPECT_EQ(reg.counter("engine.jobs.run"),
-            static_cast<std::uint64_t>(m.job_count()));
-  EXPECT_EQ(reg.counter("engine.shuffle.bytes_wire"), m.total_shuffle_bytes());
-  EXPECT_EQ(reg.counter("engine.map.input_bytes"), m.total_map_input_bytes());
-  EXPECT_EQ(reg.counter("engine.dfs.write_bytes"), m.total_dfs_write_bytes());
-  std::uint64_t map_tasks = 0;
-  for (const auto& j : m.jobs) map_tasks += j.map.tasks;
-  EXPECT_EQ(reg.counter("engine.map.tasks"), map_tasks);
-  EXPECT_EQ(reg.counter("engine.jobs.failed"), 0u);
-
-  // Histograms saw one observation per task.
-  EXPECT_EQ(reg.histogram("engine.map.task_sim_seconds").count, map_tasks);
-
-  const std::string snapshot = reg.json();
-  EXPECT_TRUE(MiniJson(snapshot).parse());
-  EXPECT_NE(snapshot.find("engine.shuffle.bytes_wire"), std::string::npos);
-  EXPECT_NE(reg.summary_line().find("jobs="), std::string::npos);
-}
+// ---- a failed query's reason ----
 
 TEST(Metrics, FailedQueryLeavesReasonNote) {
   auto cfg = ClusterConfig::small_local(50);
@@ -364,46 +338,16 @@ TEST(Metrics, FailedQueryLeavesReasonNote) {
   db.set_observer(&obs);
   auto run = db.run(queries::qcsa().sql, TranslatorProfile::hive());
   ASSERT_TRUE(run.metrics.failed());
-  EXPECT_GE(obs.metrics.counter("engine.jobs.failed"), 1u);
-  EXPECT_NE(obs.metrics.note_of("engine.last_fail_reason").find("disk"),
-            std::string::npos);
+  obs::QueryHistoryRecord rec;
+  ASSERT_TRUE(obs.history.at(0, &rec));
+  EXPECT_TRUE(rec.failed);
+  EXPECT_NE(rec.fail_reason.find("disk"), std::string::npos);
+  EXPECT_EQ(rec.fail_reason, run.metrics.fail_reason());
 }
 
-TEST(Metrics, HistogramMinTracksFirstAndSmallestObservation) {
-  // Regression guard: the first observation must establish min (and max)
-  // even though an empty Histogram initializes both to 0 — a naive
-  // `min = std::min(min, v)` would keep min pinned at 0 forever.
-  obs::MetricsRegistry reg;
-  reg.observe("h", 5.0);
-  auto h = reg.histogram("h");
-  EXPECT_EQ(h.count, 1u);
-  EXPECT_DOUBLE_EQ(h.min, 5.0);
-  EXPECT_DOUBLE_EQ(h.max, 5.0);
-  reg.observe("h", 2.0);
-  reg.observe("h", 7.0);
-  h = reg.histogram("h");
-  EXPECT_EQ(h.count, 3u);
-  EXPECT_DOUBLE_EQ(h.min, 2.0);
-  EXPECT_DOUBLE_EQ(h.max, 7.0);
-  EXPECT_DOUBLE_EQ(h.sum, 14.0);
-}
+// ---- task samples reconcile with the job metrics ----
 
-TEST(Metrics, RegistrySnapshotIsDeterministicallyOrdered) {
-  obs::MetricsRegistry reg;
-  reg.add("z.last", 1);
-  reg.add("a.first", 2);
-  reg.note("m.note", "text");
-  const std::string json = reg.json();
-  EXPECT_TRUE(MiniJson(json).parse());
-  EXPECT_LT(json.find("a.first"), json.find("z.last"));
-}
-
-// ---- task samples reconcile with the registry ----
-
-TEST(TaskSamples, SamplesReconcileWithRegistryHistograms) {
-  // The task-time histograms are fed from the retained samples, so the
-  // registry's count/sum must reconcile exactly (same values, same
-  // accumulation order) with what the sample store holds.
+TEST(TaskSamples, SamplesReconcileWithJobMetrics) {
   auto db = fresh_db();
   obs::ObsContext obs;
   db->set_observer(&obs);
@@ -414,33 +358,7 @@ TEST(TaskSamples, SamplesReconcileWithRegistryHistograms) {
   const obs::QueryTaskSamples q = obs.samples.last_query();
   ASSERT_EQ(q.jobs.size(), static_cast<std::size_t>(run.metrics.job_count()));
 
-  std::uint64_t map_count = 0, reduce_count = 0;
-  double map_sum = 0, reduce_sum = 0;
-  for (const auto& j : q.jobs) {
-    for (const auto& s : j.map_tasks) {
-      ++map_count;
-      map_sum += s.sim_seconds;
-    }
-    if (j.map_only) {
-      EXPECT_TRUE(j.reduce_tasks.empty());
-      continue;
-    }
-    ASSERT_FALSE(j.reduce_tasks.empty());
-    // One histogram observation per modeled task, expanded from the
-    // simulated partitions exactly like the engine's makespan input.
-    for (std::uint64_t i = 0; i < j.target_reduce_tasks; ++i) {
-      ++reduce_count;
-      reduce_sum += j.reduce_tasks[i % j.reduce_tasks.size()].sim_seconds;
-    }
-  }
-  const auto map_h = obs.metrics.histogram("engine.map.task_sim_seconds");
-  EXPECT_EQ(map_h.count, map_count);
-  EXPECT_DOUBLE_EQ(map_h.sum, map_sum);
-  const auto red_h = obs.metrics.histogram("engine.reduce.task_sim_seconds");
-  EXPECT_EQ(red_h.count, reduce_count);
-  EXPECT_DOUBLE_EQ(red_h.sum, reduce_sum);
-
-  // Per-sample measurements also reconcile with the job totals.
+  // Per-sample measurements reconcile with the job totals.
   for (std::size_t ji = 0; ji < q.jobs.size(); ++ji) {
     const auto& js = q.jobs[ji];
     const auto& jm = run.metrics.jobs[ji];
@@ -448,6 +366,10 @@ TEST(TaskSamples, SamplesReconcileWithRegistryHistograms) {
     EXPECT_DOUBLE_EQ(js.map_time_s, jm.map_time_s);
     EXPECT_DOUBLE_EQ(js.reduce_time_s, jm.reduce_time_s);
     EXPECT_EQ(js.target_reduce_tasks, jm.reduce.tasks);
+    EXPECT_EQ(js.map_tasks.size(), jm.map.tasks);
+    // Map-only jobs report their output under map; the rest have one
+    // sample per simulated reduce partition.
+    EXPECT_EQ(js.reduce_tasks.empty(), js.map_only);
     std::uint64_t in_rec = 0, in_bytes = 0, shuffle_raw = 0;
     for (const auto& s : js.map_tasks) {
       in_rec += s.input_records;
@@ -509,6 +431,31 @@ TEST(QueryLifecycle, QueryThatThrowsStillPublishesItsRecord) {
     EXPECT_EQ(events.back().name, "query-done");
     EXPECT_EQ(events.back().level, obs::EventLevel::Error);
     EXPECT_EQ(field_of(events.back(), "failed"), "1");
+    // The wave that threw is published too: the last wave-start has its
+    // wave-done, right before query-done.
+    const auto open = std::find_if(
+        events.rbegin(), events.rend(),
+        [](const obs::Event& e) { return e.name == "wave-start"; });
+    ASSERT_NE(open, events.rend());
+    const obs::Event& closed = events[events.size() - 2];
+    EXPECT_EQ(closed.name, "wave-done");
+    EXPECT_EQ(field_of(closed, "wave"), field_of(*open, "wave"));
+
+    // Every job the query recorded has its wave's record, and the
+    // analyzer's critical path is the query span's simulated duration.
+    const obs::QueryTaskSamples qs = obs.samples.last_query();
+    for (const auto& j : qs.jobs)
+      EXPECT_TRUE(std::any_of(
+          qs.waves.begin(), qs.waves.end(),
+          [&](const obs::WaveSample& w) { return w.index == j.wave; }))
+          << j.job_name;
+    const obs::AnalyzerReport report = obs::analyze_query(qs);
+    const std::vector<obs::Span> spans = obs.tracer.spans();
+    const auto query_span =
+        std::find_if(spans.begin(), spans.end(),
+                     [](const obs::Span& sp) { return sp.category == "query"; });
+    ASSERT_NE(query_span, spans.end());
+    EXPECT_EQ(report.critical_path_s, query_span->sim_dur_s);
 
     // History records the query with the error as its reason.
     ASSERT_EQ(obs.history.size(), 1u);
@@ -563,7 +510,7 @@ TEST(NullObserver, ObserverSurvivesReconfigureCluster) {
   db->create_table("clicks", tiny_clicks());
   db->run(queries::qagg().sql, TranslatorProfile::ysmart());
   EXPECT_GT(obs.tracer.span_count(), 0u);
-  EXPECT_GT(obs.metrics.counter("engine.jobs.run"), 0u);
+  EXPECT_GT(obs.samples.total_jobs(), 0u);
 }
 
 }  // namespace

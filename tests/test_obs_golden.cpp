@@ -2,11 +2,11 @@
 //
 // Runs a fixed set of queries with one ObsContext attached and renders
 // everything the observers recorded — the event journal, the sim-axis
-// trace and span tree, the host profiler's phase list, the registry, the
-// progress snapshot seen at each callback, the per-query analyzer,
-// cluster and plan views, and the flight recorder — into one canonical
-// text, with the host-dependent parts (wall clocks, pool gauges, host
-// milliseconds) left out. The text is compared byte for byte against
+// trace and span tree, the host profiler's phase list, the progress
+// snapshot seen at each callback, the per-query analyzer, cluster and
+// plan views, and the flight recorder — into one canonical text, with
+// the host-dependent parts (wall clocks, host milliseconds) left out.
+// The text is compared byte for byte against
 // tests/golden/obs_surfaces.txt.
 //
 // On a mismatch the produced text is written to obs_surfaces.actual.txt
@@ -184,11 +184,6 @@ class GoldenRun {
     out += "== host phases\n";
     for (const auto& p : ctx_.profiler.snapshot())
       out += strf("%s %s span=%d\n", p.job.c_str(), p.phase.c_str(), p.span_id);
-    // pool.* gauges reflect host scheduling, not the simulation.
-    std::string reg = std::regex_replace(ctx_.metrics.json(),
-                                         std::regex(R"("pool\.[^"]*":[0-9]+,?)"), "");
-    reg = std::regex_replace(reg, std::regex(",\\}"), "}");
-    out += "== registry\n" + pretty_json(reg);
     out += "== progress\n" + progress_;
     out += "== history\n" +
            pretty_json(std::regex_replace(ctx_.history.json(),

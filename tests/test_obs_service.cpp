@@ -1,33 +1,19 @@
 // Tests for the continuous-observability service: the structured event
 // journal, the cross-query flight recorder, the live progress tracker,
-// the Prometheus exposition renderer, the loopback HTTP listener, and
-// the hardened write_text_file helper.
+// and the hardened write_text_file helper.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
+#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "api/database.h"
-#include "common/http_listener.h"
 #include "common/io.h"
-#include "common/strings.h"
-#include "mr/metrics.h"
-#include "obs/http_endpoints.h"
 #include "obs/obs.h"
-#include "obs/prom_export.h"
-#include "storage/table.h"
 
 namespace ysmart {
 namespace {
@@ -126,41 +112,12 @@ class MiniJson {
   std::size_t pos_ = 0;
 };
 
-std::shared_ptr<Table> tiny_clicks() {
-  Schema cl;
-  cl.add("uid", ValueType::Int);
-  cl.add("page_id", ValueType::Int);
-  cl.add("cid", ValueType::Int);
-  cl.add("ts", ValueType::Int);
-  auto t = std::make_shared<Table>(cl);
-  for (int i = 0; i < 400; ++i)
-    t->append({Value{i % 7}, Value{i % 13}, Value{i % 5}, Value{i}});
-  return t;
-}
-
-std::unique_ptr<Database> fresh_db() {
-  auto db = std::make_unique<Database>(ClusterConfig::small_local(50));
-  db->create_table("clicks", tiny_clicks());
-  return db;
-}
-
-constexpr const char* kSql =
-    "SELECT cid, count(*) AS n FROM clicks GROUP BY cid";
-
 std::vector<std::string> split_lines(const std::string& text) {
   std::vector<std::string> lines;
   std::istringstream iss(text);
   std::string line;
   while (std::getline(iss, line)) lines.push_back(line);
   return lines;
-}
-
-int count_occurrences(const std::string& text, const std::string& needle) {
-  int n = 0;
-  for (std::size_t pos = text.find(needle); pos != std::string::npos;
-       pos = text.find(needle, pos + needle.size()))
-    ++n;
-  return n;
 }
 
 // ---- event log ----
@@ -387,325 +344,6 @@ TEST(Progress, RenderMentionsStateAndJobs) {
   EXPECT_NE(out.find("SELECT x FROM t"), std::string::npos);
   EXPECT_NE(out.find("AGG1"), std::string::npos);
   EXPECT_NE(out.find("hive"), std::string::npos);
-}
-
-// ---- Prometheus exposition ----
-
-TEST(PromExport, SanitizesMetricNames) {
-  EXPECT_EQ(obs::prometheus_name("engine.map.tasks"),
-            "ysmart_engine_map_tasks");
-  EXPECT_EQ(obs::prometheus_name("pool.queue.peak-depth"),
-            "ysmart_pool_queue_peak_depth");
-}
-
-TEST(PromExport, RendersTypesHelpAndCumulativeBuckets) {
-  obs::MetricsRegistry reg;
-  reg.add("engine.jobs.run", 2);
-  reg.set("pool.workers.size", 8);
-  reg.observe("engine.map.task_sim_seconds", 0.05);
-  reg.observe("engine.map.task_sim_seconds", 2.0);
-  reg.observe("engine.map.task_sim_seconds", 1e9);  // overflow bucket
-  const std::string text = obs::render_prometheus(reg);
-
-  EXPECT_NE(text.find("# HELP ysmart_engine_jobs_run_total"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE ysmart_engine_jobs_run_total counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("ysmart_engine_jobs_run_total 2"), std::string::npos);
-  // Gauges keep their name unsuffixed and declare the gauge type.
-  EXPECT_NE(text.find("# TYPE ysmart_pool_workers_size gauge"),
-            std::string::npos);
-  EXPECT_NE(text.find("ysmart_pool_workers_size 8"), std::string::npos);
-  EXPECT_EQ(text.find("ysmart_pool_workers_size_total"), std::string::npos);
-  // Histogram: cumulative buckets ending at +Inf, then _sum and _count.
-  EXPECT_NE(text.find("# TYPE ysmart_engine_map_task_sim_seconds histogram"),
-            std::string::npos);
-  EXPECT_NE(
-      text.find("ysmart_engine_map_task_sim_seconds_bucket{le=\"+Inf\"} 3"),
-      std::string::npos);
-  EXPECT_NE(text.find("ysmart_engine_map_task_sim_seconds_count 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("ysmart_engine_map_task_sim_seconds_sum"),
-            std::string::npos);
-
-  // Buckets are cumulative: parse the bucket counts in order and check
-  // they never decrease and end equal to _count.
-  std::uint64_t prev = 0, last = 0;
-  int buckets = 0;
-  for (const auto& line : split_lines(text)) {
-    const std::string prefix = "ysmart_engine_map_task_sim_seconds_bucket{";
-    if (line.compare(0, prefix.size(), prefix) != 0) continue;
-    const std::size_t sp = line.rfind(' ');
-    ASSERT_NE(sp, std::string::npos);
-    last = std::stoull(line.substr(sp + 1));
-    EXPECT_GE(last, prev) << line;
-    prev = last;
-    ++buckets;
-  }
-  EXPECT_EQ(buckets,
-            static_cast<int>(obs::MetricsRegistry::kBucketBounds.size()) + 1);
-  EXPECT_EQ(last, 3u);
-  // Every metric family declares HELP and TYPE exactly once.
-  EXPECT_EQ(count_occurrences(text, "# TYPE ysmart_engine_jobs_run_total"), 1);
-}
-
-TEST(PromExport, EscapesLabelValuesPerTextFormat) {
-  // Text format 0.0.4: inside a label value, backslash, double-quote and
-  // newline must be escaped or the exposition line breaks apart.
-  EXPECT_EQ(obs::prom_escape_label("plain"), "plain");
-  EXPECT_EQ(obs::prom_escape_label("a\\b"), "a\\\\b");
-  EXPECT_EQ(obs::prom_escape_label("say \"hi\""), "say \\\"hi\\\"");
-  EXPECT_EQ(obs::prom_escape_label("line1\nline2"), "line1\\nline2");
-  EXPECT_EQ(obs::prom_escape_label("\\\"\n"), "\\\\\\\"\\n");
-  EXPECT_EQ(obs::prom_escape_label(""), "");
-}
-
-TEST(PromExport, ClusterGaugesExportAggregatesAndTopNodesOnly) {
-  auto db = fresh_db();
-  obs::ObsContext ctx;
-  db->set_observer(&ctx);
-  auto run = db->run(kSql, TranslatorProfile::ysmart());
-  ASSERT_FALSE(run.metrics.failed());
-  const std::string text = obs::render_prometheus(ctx);
-
-  EXPECT_NE(text.find("# TYPE ysmart_cluster_worker_nodes gauge"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE ysmart_cluster_busy_seconds_cv gauge"),
-            std::string::npos);
-  EXPECT_NE(text.find("ysmart_cluster_shuffle_bytes"), std::string::npos);
-  // Per-node series exist but stay bounded: at most the top 8 busiest
-  // nodes, each with a quoted node label (cardinality guard for the
-  // 747-node Facebook preset).
-  const int node_series =
-      count_occurrences(text, "ysmart_cluster_node_busy_seconds{node=\"");
-  EXPECT_GE(node_series, 1);
-  EXPECT_LE(node_series, 8);
-  EXPECT_EQ(count_occurrences(text, "# TYPE ysmart_cluster_node_busy_seconds"),
-            1);
-}
-
-TEST(PromExport, CountersReconcileWithQueryMetrics) {
-  auto db = fresh_db();
-  obs::ObsContext ctx;
-  db->set_observer(&ctx);
-  auto run = db->run(kSql, TranslatorProfile::ysmart());
-  ASSERT_FALSE(run.metrics.failed());
-
-  std::uint64_t map_tasks = 0, shuffle_wire = 0, dfs_write = 0;
-  for (const auto& j : run.metrics.jobs) {
-    map_tasks += j.map.tasks;
-    shuffle_wire += j.shuffle_bytes_wire;
-    dfs_write += j.dfs_write_bytes;
-  }
-  const std::string text = obs::render_prometheus(ctx);
-  auto expect_line = [&](const std::string& name, std::uint64_t value) {
-    const std::string line = strf("%s %llu", name.c_str(),
-                                  static_cast<unsigned long long>(value));
-    EXPECT_NE(text.find("\n" + line + "\n"), std::string::npos)
-        << "missing: " << line;
-  };
-  expect_line("ysmart_engine_jobs_run_total",
-              static_cast<std::uint64_t>(run.metrics.jobs.size()));
-  expect_line("ysmart_engine_map_tasks_total", map_tasks);
-  expect_line("ysmart_engine_shuffle_bytes_wire_total", shuffle_wire);
-  expect_line("ysmart_engine_dfs_write_bytes_total", dfs_write);
-  // The ObsContext overload also exports journal/flight-recorder gauges.
-  expect_line("ysmart_history_recorded_total", 1);
-  expect_line("ysmart_queries_finished_total", 1);
-  EXPECT_NE(text.find("ysmart_events_emitted_total"), std::string::npos);
-}
-
-// ---- HTTP listener ----
-
-std::string http_get(int port, const std::string& request_head) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    ADD_FAILURE() << "connect failed";
-    return {};
-  }
-  (void)::send(fd, request_head.data(), request_head.size(), 0);
-  std::string resp;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    resp.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return resp;
-}
-
-TEST(HttpListener, ServesHandlerOnLoopback) {
-  HttpListener listener;
-  std::string error;
-  ASSERT_TRUE(listener.start(
-      0,
-      [](const std::string& path) -> HttpResponse {
-        if (path == "/metrics")
-          return {200, "text/plain; version=0.0.4; charset=utf-8",
-                  "ysmart_up 1\n"};
-        return {404, "text/plain; charset=utf-8", "nope\n"};
-      },
-      &error))
-      << error;
-  ASSERT_GT(listener.port(), 0);
-
-  const std::string ok = http_get(
-      listener.port(), "GET /metrics?x=1 HTTP/1.0\r\nHost: l\r\n\r\n");
-  EXPECT_NE(ok.find("HTTP/1.0 200"), std::string::npos) << ok;
-  EXPECT_NE(ok.find("ysmart_up 1"), std::string::npos);
-  EXPECT_NE(ok.find("Content-Length:"), std::string::npos);
-
-  const std::string missing =
-      http_get(listener.port(), "GET /other HTTP/1.0\r\n\r\n");
-  EXPECT_NE(missing.find("HTTP/1.0 404"), std::string::npos);
-
-  const std::string post =
-      http_get(listener.port(), "POST /metrics HTTP/1.0\r\n\r\n");
-  EXPECT_NE(post.find("HTTP/1.0 405"), std::string::npos);
-
-  listener.stop();
-  EXPECT_FALSE(listener.running());
-  // A stopped listener can be started again.
-  ASSERT_TRUE(listener.start(
-      0, [](const std::string&) { return HttpResponse{200, "t", "x"}; },
-      &error))
-      << error;
-  listener.stop();
-}
-
-TEST(HttpListener, UnknownPathGets404WithAccurateContentLength) {
-  // The 404 path must be a complete HTTP response: status line, a
-  // Content-Length that matches the body byte count exactly, and a
-  // non-empty body even when the handler returns one empty (the
-  // listener substitutes the status text so clients see something).
-  HttpListener listener;
-  std::string error;
-  ASSERT_TRUE(listener.start(
-      0,
-      [](const std::string& path) -> HttpResponse {
-        if (path == "/metrics")
-          return {200, "text/plain; charset=utf-8", "ysmart_up 1\n"};
-        if (path == "/empty404") return {404, "text/plain; charset=utf-8", ""};
-        return {404, "text/plain; charset=utf-8",
-                "try /metrics, /healthz, /history.json or /cluster.json\n"};
-      },
-      &error))
-      << error;
-
-  auto check_404 = [&](const std::string& path) -> std::string {
-    const std::string resp =
-        http_get(listener.port(), "GET " + path + " HTTP/1.0\r\n\r\n");
-    EXPECT_NE(resp.find("HTTP/1.0 404 Not Found"), std::string::npos) << resp;
-    const std::size_t cl = resp.find("Content-Length: ");
-    const std::size_t body_at = resp.find("\r\n\r\n");
-    if (cl == std::string::npos || body_at == std::string::npos) {
-      ADD_FAILURE() << "incomplete response: " << resp;
-      return {};
-    }
-    const std::size_t len =
-        std::stoull(resp.substr(cl + std::strlen("Content-Length: ")));
-    const std::string body = resp.substr(body_at + 4);
-    EXPECT_EQ(body.size(), len) << resp;
-    EXPECT_FALSE(body.empty()) << "404 body must not be empty";
-    return body;
-  };
-  const std::string hint = check_404("/definitely-not-served");
-  EXPECT_NE(hint.find("/metrics"), std::string::npos) << hint;
-  // Handler returned an empty 404 body: the listener fills in the
-  // status text instead of serving a blank page.
-  EXPECT_EQ(check_404("/empty404"), "404 Not Found\n");
-  listener.stop();
-}
-
-TEST(HttpListener, ServesObsEndpointLibraryIncludingHealthzAndPlan) {
-  // The endpoint routing that the shell's \serve uses is a library
-  // function (obs/http_endpoints.h), so every surface — including
-  // /healthz and the plan axis — is testable through a real listener.
-  obs::ObsContext ctx;
-  HttpListener listener;
-  std::string error;
-  ASSERT_TRUE(listener.start(
-      0,
-      [&ctx](const std::string& path) {
-        return obs::serve_obs_endpoint(ctx, path);
-      },
-      &error))
-      << error;
-
-  const std::string health =
-      http_get(listener.port(), "GET /healthz HTTP/1.0\r\n\r\n");
-  EXPECT_NE(health.find("HTTP/1.0 200"), std::string::npos) << health;
-  EXPECT_NE(health.find("\r\n\r\nok\n"), std::string::npos) << health;
-
-  // /plan.json serves the disabled-by-default plan store as valid JSON.
-  const std::string plan =
-      http_get(listener.port(), "GET /plan.json HTTP/1.0\r\n\r\n");
-  EXPECT_NE(plan.find("HTTP/1.0 200"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("application/json"), std::string::npos);
-  const std::size_t body_at = plan.find("\r\n\r\n");
-  ASSERT_NE(body_at, std::string::npos);
-  EXPECT_TRUE(MiniJson(plan.substr(body_at + 4)).parse()) << plan;
-  EXPECT_NE(plan.find("\"enabled\":false"), std::string::npos);
-
-  // The 404 hint enumerates every served path, the plan axis included.
-  const std::string missing =
-      http_get(listener.port(), "GET /nope HTTP/1.0\r\n\r\n");
-  EXPECT_NE(missing.find("HTTP/1.0 404"), std::string::npos);
-  for (const char* p : {"/metrics", "/healthz", "/history.json",
-                        "/cluster.json", "/plan.json"})
-    EXPECT_NE(missing.find(p), std::string::npos) << "hint missing " << p;
-  listener.stop();
-}
-
-TEST(HttpListener, RebindsTheSamePortImmediatelyAfterStop) {
-  // Serving a request leaves the accepted connection in TIME_WAIT on the
-  // listener side; SO_REUSEADDR must let the next start() take the same
-  // port right away (shell sessions toggle \serve on a fixed port).
-  HttpListener listener;
-  std::string error;
-  auto handler = [](const std::string&) {
-    return HttpResponse{200, "text/plain; charset=utf-8", "ok\n"};
-  };
-  ASSERT_TRUE(listener.start(0, handler, &error)) << error;
-  const int port = listener.port();
-  ASSERT_GT(port, 0);
-  const std::string resp = http_get(port, "GET / HTTP/1.0\r\n\r\n");
-  EXPECT_NE(resp.find("HTTP/1.0 200"), std::string::npos);
-  listener.stop();
-
-  HttpListener second;
-  ASSERT_TRUE(second.start(port, handler, &error))
-      << "rebinding port " << port << " failed: " << error;
-  EXPECT_EQ(second.port(), port);
-  const std::string again = http_get(port, "GET / HTTP/1.0\r\n\r\n");
-  EXPECT_NE(again.find("HTTP/1.0 200"), std::string::npos);
-  second.stop();
-}
-
-TEST(HttpListener, BindFailureNamesTheAddressAndErrno) {
-  HttpListener first;
-  std::string error;
-  ASSERT_TRUE(first.start(
-      0, [](const std::string&) { return HttpResponse{}; }, &error))
-      << error;
-  // A second listener on the occupied port must fail with a message that
-  // names the address and the errno text, not just "bind failed".
-  HttpListener second;
-  EXPECT_FALSE(second.start(
-      first.port(), [](const std::string&) { return HttpResponse{}; },
-      &error));
-  EXPECT_NE(error.find("127.0.0.1"), std::string::npos) << error;
-  EXPECT_NE(error.find(std::to_string(first.port())), std::string::npos)
-      << error;
-  EXPECT_NE(error.find("bind"), std::string::npos) << error;
-  first.stop();
 }
 
 // ---- write_text_file hardening ----

@@ -490,18 +490,24 @@ TEST(PlanViewStore, ClearKeepsEnabledAndJsonIsDeterministic) {
   obs::PlanViewStore a, b;
   feed(a);
   feed(b);
-  // Identical histories render byte-identical /plan.json documents.
-  EXPECT_EQ(a.json(), b.json());
-  EXPECT_TRUE(MiniJson(a.json()).parse()) << a.json();
-  EXPECT_NE(a.json().find("\"enabled\":true"), std::string::npos);
-  EXPECT_NE(a.json().find("\"reports\":1"), std::string::npos);
+  // Identical histories render byte-identical reports and calibration.
+  obs::PlanReport ra, rb;
+  ASSERT_TRUE(a.last_report(&ra));
+  ASSERT_TRUE(b.last_report(&rb));
+  EXPECT_EQ(ra.json(), rb.json());
+  EXPECT_TRUE(MiniJson(ra.json()).parse()) << ra.json();
+  const std::string cal = obs::calibration_json(a.calibration());
+  EXPECT_EQ(cal, obs::calibration_json(b.calibration()));
+  EXPECT_TRUE(MiniJson(cal).parse()) << cal;
+  EXPECT_TRUE(a.enabled());
+  EXPECT_EQ(a.report_count(), 1u);
 
   a.clear();
   EXPECT_TRUE(a.enabled());  // clear drops data, keeps the switch
   EXPECT_EQ(a.pending_count(), 0u);
   EXPECT_EQ(a.report_count(), 0u);
   EXPECT_EQ(a.calibration().total_recorded, 0u);
-  EXPECT_NE(a.json().find("\"last\":null"), std::string::npos);
+  EXPECT_FALSE(a.last_report(nullptr));
 }
 
 }  // namespace
