@@ -1,24 +1,22 @@
-// Shuffle micro-benchmark: host wall-clock of the sort/merge/group path
-// with the raw (memcmp over normalized keys) comparator against the
-// compare_rows fallback (YSMART_RAW_COMPARATOR=off), at three input
-// sizes. Both modes run the identical primitives from mr/shuffle.h, so
-// the difference isolates the comparator itself — the RawComparator
-// optimization this engine borrows from Hadoop.
+// Shuffle micro-benchmark: host wall-clock of the serialized shuffle
+// (mr/shuffle.h) at three input sizes, each spread over 16 map tasks
+// that feed one reduce partition.
 //
-// The printed table breaks the time into the three phases a reduce-side
-// shuffle performs on the host: map-side bucket sort, k-way merge of the
-// per-map-task runs, and reduce key-group detection. --json records one
-// schema-conforming record per (size, mode); wall_ms is the phase total,
-// and the simulated metrics come from running the same workload through
-// the engine (identical in both modes — the knob never touches the
-// simulation, pinned by tests/test_robustness.cpp).
+// The printed table breaks the time into the three phases the engine
+// runs per pair: emit (normalize the key, pick the partition, append the
+// key and value bytes to the task's arena), the partition sort (one sort
+// of the gathered index), and group-and-decode (find key groups, decode
+// each group's key and values into reused scratch). --json records one
+// schema-conforming record per size; wall_ms is the phase total, and the
+// simulated metrics come from running a count-per-key job over the same
+// pairs through the engine.
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <span>
 #include <vector>
 
 #include "common.h"
-#include "common/normkey.h"
 #include "common/rng.h"
 #include "mr/engine.h"
 #include "mr/shuffle.h"
@@ -37,9 +35,8 @@ double now_ms() {
 
 /// A shuffle-heavy pair stream modeled on a multi-column GROUP BY:
 /// composite four-cell keys (two low-cardinality strings with a common
-/// prefix, then two ints) with ~16 pairs per key group. Same-group and
-/// near-group comparisons must walk several cells through Value::compare
-/// on the slow path — the case the single-memcmp raw comparator wins.
+/// prefix, then two ints) with ~16 pairs per key group, so most
+/// comparisons tie on the 8-byte compare prefix and read the arena.
 std::vector<KeyValue> make_pairs(std::size_t n) {
   Rng rng(20110607 + static_cast<std::uint64_t>(n));
   std::vector<KeyValue> pairs;
@@ -59,53 +56,46 @@ std::vector<KeyValue> make_pairs(std::size_t n) {
 }
 
 struct PhaseTimes {
+  double emit_ms = 0;
   double sort_ms = 0;
-  double merge_ms = 0;
   double group_ms = 0;
   std::size_t groups = 0;
-  double total_ms() const { return sort_ms + merge_ms + group_ms; }
+  double total_ms() const { return emit_ms + sort_ms + group_ms; }
 };
 
-/// Time the three shuffle phases over `pairs` split into `num_runs`
-/// map-task runs, under whichever comparator mode is currently set.
+/// Time the three shuffle phases over `pairs` dealt round-robin to
+/// `num_tasks` map tasks, as blocks are.
 PhaseTimes time_phases(const std::vector<KeyValue>& pairs,
-                       std::size_t num_runs) {
-  // Distribute round-robin like blocks across map tasks, then finalize
-  // each run the way the engine's PartitioningEmitter does.
-  std::vector<std::vector<KeyValue>> runs(num_runs);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    KeyValue kv = pairs[i];
-    kv.norm_key = encode_norm_key(kv.key);
-    auto& run = runs[i % num_runs];
-    kv.seq = static_cast<std::uint32_t>(run.size());
-    run.push_back(std::move(kv));
-  }
-
+                       std::size_t num_tasks) {
+  std::vector<MapOutputBuffer> buffers(num_tasks, MapOutputBuffer(1));
   PhaseTimes t;
   double t0 = now_ms();
-  for (auto& run : runs) sort_map_bucket(run);
+  for (std::size_t i = 0; i < pairs.size(); ++i)
+    buffers[i % num_tasks].add(pairs[i]);
+  std::vector<std::vector<MapOutput>> outputs;
+  for (auto& b : buffers) outputs.push_back(b.take());
+  t.emit_ms = now_ms() - t0;
+
+  std::vector<const MapOutput*> runs;
+  for (const auto& o : outputs) runs.push_back(&o[0]);
+  t0 = now_ms();
+  const std::vector<ShuffleRef> sorted = sort_partition(runs);
   t.sort_ms = now_ms() - t0;
 
-  std::vector<std::vector<KeyValue>*> run_ptrs;
-  for (auto& run : runs) run_ptrs.push_back(&run);
   t0 = now_ms();
-  std::vector<KeyValue> merged = merge_sorted_runs(run_ptrs);
-  t.merge_ms = now_ms() - t0;
-
-  t0 = now_ms();
-  std::size_t i = 0;
-  while (i < merged.size()) {
-    std::size_t j = i + 1;
-    while (j < merged.size() && same_shuffle_key(merged[i], merged[j])) ++j;
-    ++t.groups;
-    i = j;
-  }
+  std::size_t values = 0;
+  for_each_key_group(runs, sorted,
+                     [&](const Row&, std::span<const KeyValue> group) {
+                       ++t.groups;
+                       values += group.size();
+                     });
   t.group_ms = now_ms() - t0;
+  if (values != pairs.size()) std::abort();
   return t;
 }
 
 /// Run the equivalent count-per-key job through the engine so the JSON
-/// record carries honest simulated metrics (mode-independent).
+/// record carries honest simulated metrics.
 QueryMetrics engine_metrics(std::size_t n) {
   Schema in;
   in.add("region", ValueType::String);
@@ -152,35 +142,26 @@ QueryMetrics engine_metrics(std::size_t n) {
 
 int main(int argc, char** argv) {
   Report report("bench_shuffle", argc, argv);
-  print_header("Shuffle sort/merge/group: raw comparator vs compare_rows");
+  print_header("Serialized shuffle: emit, partition sort, group and decode");
 
   constexpr std::size_t kSizes[] = {50'000, 200'000, 800'000};
-  constexpr std::size_t kRuns = 16;  // simulated map tasks per size
-  constexpr int kReps = 3;           // best-of to damp scheduler noise
+  constexpr std::size_t kTasks = 16;  // simulated map tasks per size
+  constexpr int kReps = 3;            // best-of to damp scheduler noise
 
-  const bool saved = raw_comparator_enabled();
-  std::printf("%10s %6s %10s %10s %10s %10s %9s\n", "pairs", "mode",
-              "sort ms", "merge ms", "group ms", "total ms", "groups");
+  std::printf("%10s %10s %10s %10s %10s %9s\n", "pairs", "emit ms",
+              "sort ms", "group ms", "total ms", "groups");
   for (const std::size_t n : kSizes) {
     const auto pairs = make_pairs(n);
     const QueryMetrics sim = engine_metrics(n);
-    PhaseTimes best[2];
-    for (const bool raw : {true, false}) {
-      set_raw_comparator_enabled(raw);
-      PhaseTimes& t = best[raw ? 0 : 1];
-      for (int rep = 0; rep < kReps; ++rep) {
-        const PhaseTimes cur = time_phases(pairs, kRuns);
-        if (rep == 0 || cur.total_ms() < t.total_ms()) t = cur;
-      }
-      std::printf("%10zu %6s %10.2f %10.2f %10.2f %10.2f %9zu\n", n,
-                  raw ? "raw" : "off", t.sort_ms, t.merge_ms, t.group_ms,
-                  t.total_ms(), t.groups);
-      report.record("shuffle-" + std::to_string(n), raw ? "raw" : "off", sim,
-                    t.total_ms());
+    PhaseTimes best;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const PhaseTimes cur = time_phases(pairs, kTasks);
+      if (rep == 0 || cur.total_ms() < best.total_ms()) best = cur;
     }
-    std::printf("%10s %6s speedup raw vs off: %.2fx\n", "", "",
-                best[1].total_ms() / best[0].total_ms());
+    std::printf("%10zu %10.2f %10.2f %10.2f %10.2f %9zu\n", n, best.emit_ms,
+                best.sort_ms, best.group_ms, best.total_ms(), best.groups);
+    report.record("shuffle-" + std::to_string(n), "serialized", sim,
+                  best.total_ms());
   }
-  set_raw_comparator_enabled(saved);
   return 0;
 }

@@ -249,9 +249,7 @@ class SpMapper final : public Mapper {
 
 /// Map-side partial aggregation (CombineAgg jobs): the scan filter picks
 /// the rows, a HashAggregator (exec/hash_agg.h) groups them by their
-/// normalized key bytes, and finish() emits one partial per group with
-/// those bytes handed to the emitter, so the engine never re-encodes
-/// these keys.
+/// normalized key bytes, and finish() emits one partial per group.
 class CombineAggMapper final : public Mapper {
  public:
   explicit CombineAggMapper(std::shared_ptr<const CompiledJob> cj)
@@ -297,13 +295,12 @@ class CombineAggMapper final : public Mapper {
   // order, so the map output does not depend on hash-table layout.
   void finish(MapEmitter& out) override {
     agg_.for_each_in_key_order(
-        [&](std::string_view norm_key, Row& key,
+        [&](std::string_view /*norm_key*/, Row& key,
             std::span<const AggState> states) {
           KeyValue kv;
           kv.key = std::move(key);
           kv.value.reserve(cj_->combine_partial_arity);
           for (const AggState& s : states) s.to_partial(kv.value);
-          kv.norm_key = norm_key;
           out.emit(std::move(kv));
         });
   }

@@ -1,7 +1,7 @@
 // Normalized keys: an order-preserving binary encoding of Row keys.
 //
-// The shuffle path (map-side sort, reduce-side merge, key grouping,
-// partitioning) compares keys millions of times per job. Walking a Row
+// The shuffle path (partitioning, the partition sort, key grouping)
+// compares keys millions of times per job. Walking a Row
 // cell-by-cell through std::variant dispatch in Value::compare is the
 // classic per-record overhead Hadoop eliminates with RawComparator and
 // binary key types: encode each key ONCE into a byte string whose
@@ -18,7 +18,7 @@
 // as equal) produce identical bytes, so byte equality is key equality.
 //
 // Layout (per cell, concatenated over the Row; see DESIGN.md
-// "Normalized keys and the raw comparator" for the ordering proof):
+// "The serialized shuffle and normalized keys" for the ordering proof):
 //
 //   NULL     0x10
 //   numeric  0x20 cls [exp[2] frac[8]]     (Int and Double interleaved)
@@ -32,8 +32,9 @@
 // and double (up to 52) fit losslessly, so an int64 beyond 2^53 never
 // collides with a nearby double the way a lossy cast would.
 //
-// This is an in-memory cache only: the wire format (Value::encode) and
-// every byte counted by the cost model are untouched.
+// The encoding lives only in the shuffle's in-memory map output
+// (mr/shuffle.h): the wire format (Value::encode) and every byte counted
+// by the cost model are untouched.
 #pragma once
 
 #include <cstdint>

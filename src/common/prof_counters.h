@@ -29,7 +29,7 @@ namespace ysmart::prof {
 /// map/reduce wire codec.
 enum Counter : int {
   kCellCompares = 0,  ///< Value::compare calls (variant dispatch)
-  kRawKeyCompares,    ///< memcmp-based normalized-key comparisons
+  kRawKeyCompares,    ///< normalized-key comparisons (shuffle sort, grouping)
   kRowsEvaluated,     ///< BoundExpr::eval invocations
   kAggUpdates,        ///< aggregate-state add/merge updates
   kOperatorRows,      ///< rows consumed by relational operator loops

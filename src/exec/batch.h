@@ -20,9 +20,8 @@
 // strings all survive (pinned by tests/test_exec_batch.cpp).
 //
 // The whole path sits behind the YSMART_VECTORIZED escape hatch
-// (default on), mirroring YSMART_RAW_COMPARATOR: the knob may only move
-// host wall-clock, never simulated metrics, results or the journal
-// (pinned by tests/test_robustness.cpp).
+// (default on): the knob may only move host wall-clock, never simulated
+// metrics, results or the journal (pinned by tests/test_robustness.cpp).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +35,7 @@ namespace ysmart {
 
 /// Current mode (process-wide, default on unless YSMART_VECTORIZED=off).
 bool vectorized_enabled();
-/// Runtime toggle mirroring set_raw_comparator_enabled (benches/tests).
+/// Runtime toggle (benches/tests).
 void set_vectorized_enabled(bool on);
 
 /// Physical type of one batch column. Null = every cell NULL (type never

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "common/error.h"
-#include "common/normkey.h"
 #include "common/strings.h"
 #include "mr/shuffle.h"
 #include "obs/obs.h"
@@ -21,46 +20,36 @@ struct MapTaskDef {
   int scheduled_node = 0;  // node the TaskTracker runs the task on
 };
 
-/// Buffered map emitter: encodes each pair's normalized key once,
-/// partitions by one hash over those bytes, and counts bytes per
-/// partition with the job's tag encoding (the wire encoding of the Row
-/// key — the cached normalized key is never charged).
+/// A map task's emitter: serializes each pair into its reduce partition's
+/// arena (mr/shuffle.h) and counts its wire bytes per partition with the
+/// job's tag encoding. The pair's Rows are freed when emit returns.
 class PartitioningEmitter final : public MapEmitter {
  public:
   PartitioningEmitter(int num_partitions, const MRJobSpec& spec)
       : spec_(spec),
-        buckets_(static_cast<std::size_t>(num_partitions)),
-        bucket_bytes_(buckets_.size()) {}
+        buffer_(static_cast<std::size_t>(num_partitions)),
+        bucket_bytes_(static_cast<std::size_t>(num_partitions)) {}
 
   void emit(KeyValue kv) override {
-    const std::uint64_t bytes =
-        kv_byte_size(kv, spec_.num_merged_jobs, spec_.tag_encoding);
     ++records_;
-    // Mappers that already hold the normalized key (e.g. the CombineAgg
-    // hash-aggregation keyed by it) pass it through; everyone else gets
-    // it encoded here, once per pair. An empty norm_key only ever means
-    // "not encoded yet": the empty Row key also encodes to empty bytes.
-    if (kv.norm_key.empty()) kv.norm_key = encode_norm_key(kv.key);
-    const std::size_t p = shuffle_partition(kv, buckets_.size());
-    bucket_bytes_[p] += bytes;
-    kv.seq = static_cast<std::uint32_t>(buckets_[p].size());
-    buckets_[p].push_back(std::move(kv));
+    bucket_bytes_[buffer_.add(kv)] +=
+        kv_byte_size(kv, spec_.num_merged_jobs, spec_.tag_encoding);
   }
 
-  std::vector<std::vector<KeyValue>> take_buckets() { return std::move(buckets_); }
+  std::vector<MapOutput> take_outputs() { return buffer_.take(); }
   /// Exact wire bytes emitted into each partition (pre-expansion).
   std::vector<std::uint64_t> take_bucket_bytes() { return std::move(bucket_bytes_); }
   std::uint64_t records() const { return records_; }
 
  private:
   const MRJobSpec& spec_;
-  std::vector<std::vector<KeyValue>> buckets_;
+  MapOutputBuffer buffer_;
   std::vector<std::uint64_t> bucket_bytes_;
   std::uint64_t records_ = 0;
 };
 
 struct MapTaskResult {
-  std::vector<std::vector<KeyValue>> buckets;
+  std::vector<MapOutput> outputs;  // one per reduce partition
   obs::TaskSample task;  // measured work + charged sim seconds
 };
 
@@ -140,25 +129,8 @@ MapTaskResult run_map_task(const MRJobSpec& spec, const MapTaskDef& task,
       t.local_read};
   t.attempts = attempts;
   t.sim_seconds = attempts * cost.map_task_seconds(w, spec.map_cpu_multiplier);
-  res.buckets = emitter.take_buckets();
-  // Sort each partition by key (the map-side sort in Hadoop), on the
-  // raw comparator over the cached normalized keys (mr/shuffle.h).
-  for (auto& b : res.buckets) sort_map_bucket(b);
+  res.outputs = emitter.take_outputs();
   return res;
-}
-
-/// K-way merge of the map tasks' already-sorted partition-`p` buckets
-/// (the reduce-side merge in Hadoop). Ties are broken by map task index,
-/// and within one bucket the order is preserved, so the output is exactly
-/// what concatenating in task order and stable-sorting would produce —
-/// without re-sorting sorted runs. The comparisons run over the cached
-/// normalized keys (mr/shuffle.h).
-std::vector<KeyValue> merge_sorted_buckets(std::vector<MapTaskResult>& results,
-                                           std::size_t p) {
-  std::vector<std::vector<KeyValue>*> runs;
-  runs.reserve(results.size());
-  for (auto& r : results) runs.push_back(&r.buckets[p]);
-  return merge_sorted_runs(runs);
 }
 
 /// Everything one reduce partition produces; folded into JobMetrics, the
@@ -170,16 +142,16 @@ struct PartitionResult {
   obs::SpaceSaving hot_keys;  // reduce keys weighted by records
 };
 
-/// Runs one reduce partition over its already-merged (shuffle-sorted)
-/// input. The merge itself happens in the engine's shuffle-sort pass so
-/// the two phases have distinct wall-clock spans. `wire_bytes` is the
-/// exact per-pair wire total the map side emitted into this partition
-/// (the traffic matrix's column sum). `empty_key_partition` is passed on
-/// to Reducer::finish. The hot-key sketch formats every group key, so it
-/// is kept only when `sketch_hot_keys` (an observer is attached); nothing
-/// it holds feeds back into the work or the costs.
-PartitionResult run_reduce_partition(const MRJobSpec& spec,
-                                     std::vector<KeyValue> part,
+/// Runs one reduce partition over its input, already sorted in the
+/// engine's shuffle-sort pass so the two phases have distinct wall-clock
+/// spans. `wire_bytes` is the exact per-pair wire total the map side
+/// emitted into this partition (the traffic matrix's column sum).
+/// `empty_key_partition` is passed on to Reducer::finish. The hot-key
+/// sketch formats every group key, so it is kept only when
+/// `sketch_hot_keys` (an observer is attached); nothing it holds feeds
+/// back into the work or the costs.
+PartitionResult run_reduce_partition(const MRJobSpec& spec, PartitionRuns runs,
+                                     std::span<const ShuffleRef> sorted,
                                      std::uint64_t wire_bytes,
                                      const ClusterConfig& cfg,
                                      const CostModel& cost,
@@ -188,9 +160,10 @@ PartitionResult run_reduce_partition(const MRJobSpec& spec,
                                      bool sketch_hot_keys) {
   PartitionResult res;
   auto& t = res.task;
-  for (const auto& kv : part) {
-    if (t.tag_records.size() <= kv.source) t.tag_records.resize(kv.source + 1u);
-    ++t.tag_records[kv.source];
+  for (const ShuffleRef& r : sorted) {
+    const std::uint8_t source = r.source();
+    if (t.tag_records.size() <= source) t.tag_records.resize(source + 1u);
+    ++t.tag_records[source];
   }
   t.shuffle_bytes_prescale = wire_bytes;
   t.shuffle_bytes_raw =
@@ -201,22 +174,18 @@ PartitionResult run_reduce_partition(const MRJobSpec& spec,
                                        cfg.compression.ratio)
           : t.shuffle_bytes_raw;
   t.input_bytes = t.shuffle_bytes_raw;
-  t.input_records = part.size();
+  t.input_records = sorted.size();
 
   CollectingReduceEmitter emitter(spec.outputs);
   auto reducer = spec.make_reducer();
   check(reducer != nullptr, "reducer factory returned null");
-  for (std::size_t i = 0, j = 0; i < part.size(); i = j) {
-    // Key-group boundary detection: byte equality of the cached
-    // normalized keys instead of re-comparing Rows cell by cell.
-    j = i + 1;
-    while (j < part.size() && same_shuffle_key(part[i], part[j])) ++j;
-    ++t.key_groups;
-    if (sketch_hot_keys) res.hot_keys.offer(row_to_string(part[i].key), j - i);
-    reducer->reduce(part[i].key,
-                    std::span<const KeyValue>(part.data() + i, j - i),
-                    emitter);
-  }
+  for_each_key_group(runs, sorted,
+                     [&](const Row& key, std::span<const KeyValue> values) {
+                       ++t.key_groups;
+                       if (sketch_hot_keys)
+                         res.hot_keys.offer(row_to_string(key), values.size());
+                       reducer->reduce(key, values, emitter);
+                     });
   reducer->finish(empty_key_partition, emitter);
   res.tables = std::move(emitter.tables());
   for (const auto& table : res.tables) {
@@ -391,23 +360,29 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
     std::vector<AttemptPlan> plans(parts.size());
     for (auto& plan : plans) plan = draw_attempts();
 
-    // Pass 1, shuffle-sort: k-way merge each partition's sorted map-side
-    // buckets (Hadoop's reduce-side merge). Split from the reduce pass so
-    // each gets its own wall-clock span; the merge cost on the simulated
-    // axis is part of the cost model's reduce task time, so the
-    // shuffle-sort span is wall-only.
-    std::vector<std::vector<KeyValue>> merged(parts.size());
+    // Pass 1, shuffle-sort: gather each partition's index entries from
+    // every map task and sort them once, in place of Hadoop's map-side
+    // sort plus reduce-side merge. Split from the reduce pass so each
+    // gets its own wall-clock span. On the simulated axis the cost model
+    // still charges the sort to map tasks and the merge to reduce tasks,
+    // so the shuffle-sort span is wall-only.
+    std::vector<std::vector<const MapOutput*>> runs(
+        parts.size(), std::vector<const MapOutput*>(results.size()));
+    for (std::size_t p = 0; p < parts.size(); ++p)
+      for (std::size_t i = 0; i < results.size(); ++i)
+        runs[p][i] = &results[i].outputs[p];
+    std::vector<std::vector<ShuffleRef>> sorted(parts.size());
     {
       obs::PhaseScope sort_phase(obs_, spec.name, "shuffle-sort");
       pool_->parallel_for(parts.size(), /*grain=*/1,
                           [&](std::size_t begin, std::size_t end) {
                             obs::TaskClock tc(sort_phase.agg());
                             for (std::size_t p = begin; p < end; ++p)
-                              merged[p] = merge_sorted_buckets(results, p);
+                              sorted[p] = sort_partition(runs[p]);
                           });
     }
 
-    // Pass 2, reduce: run each partition's reducer over its merged input.
+    // Pass 2, reduce: run each partition's reducer over its sorted input.
     std::vector<std::uint64_t> wire_bytes(parts.size());
     for (const auto& t : js.map_tasks)
       for (std::size_t p = 0; p < parts.size(); ++p)
@@ -421,7 +396,7 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
             obs::TaskClock tc(reduce_phase.agg());
             for (std::size_t p = begin; p < end; ++p)
               parts[p] = run_reduce_partition(
-                  spec, std::move(merged[p]), wire_bytes[p], cfg_, cost_,
+                  spec, runs[p], sorted[p], wire_bytes[p], cfg_, cost_,
                   reducer_scale, plans[p].attempts, p == empty_key_part,
                   obs_ != nullptr);
           });
@@ -465,10 +440,17 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
       // Map output rows go straight to DFS output 0 (value part). The
       // job's final output is the map phase's output (m.map.output_*);
       // reduce metrics stay zero — see the convention note in metrics.h.
+      // Values go out in task order, each task's sorted by (key, source,
+      // emit seq) as a map-side sort would leave them.
       auto out = std::make_shared<Table>(spec.outputs[0].schema);
-      for (auto& r : results)
-        for (auto& bucket : r.buckets)
-          for (auto& kv : bucket) out->append(std::move(kv.value));
+      for (const auto& r : results) {
+        const MapOutput* run = &r.outputs[0];
+        for (const ShuffleRef& ref : sort_partition({&run, 1})) {
+          Row value;
+          run->decode_value(run->index[ref.pos], value);
+          out->append(std::move(value));
+        }
+      }
       m.dfs_write_bytes = out->byte_size() * cfg_.replication;
       dfs_.write(spec.outputs[0].path, std::move(out));
     }

@@ -2,8 +2,10 @@
 //
 // The engine is a faithful miniature of Hadoop's job execution (Section
 // II-A of the paper): one map task per input block, hash partitioning of
-// map output into R reduce partitions, per-partition sort, shuffle, merge,
-// grouped reduce invocation, and output materialization back to the DFS.
+// map output into R reduce partitions (serialized per partition, as
+// Hadoop's map output buffer does; mr/shuffle.h), one sort per reduce
+// partition, grouped reduce invocation, and output materialization back
+// to the DFS.
 // Map tasks AND reduce partitions run concurrently on a shared host
 // thread pool; per-partition results are merged in fixed partition order
 // and every contention/failure random draw is made on the submitting

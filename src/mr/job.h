@@ -89,7 +89,12 @@ class Reducer {
  public:
   virtual ~Reducer() = default;
 
-  /// Called once per distinct key with all its values (sorted by source).
+  /// Called once per distinct key with all its values, ordered by
+  /// (source, map task, emit order). `key` is the key of the group's
+  /// first pair, as its mapper emitted it. Each value's KeyValue::key is
+  /// empty: the engine decodes only `value`, `source` and `exclude`. Key
+  /// and values live in scratch the engine reuses for the next group, so
+  /// they are valid only during the call.
   virtual void reduce(const Row& key, std::span<const KeyValue> values,
                       ReduceEmitter& out) = 0;
 

@@ -11,10 +11,13 @@
 //    in the reduce phase. CMF stores the *exclusion* list because map
 //    outputs of merged jobs are usually highly overlapped, making the
 //    exclude encoding near-empty (Section VI-A).
+//
+// A KeyValue is what a mapper hands to MapEmitter::emit and what a
+// reducer reads in Reducer::reduce. In between, the engine keeps only the
+// pair's serialized form (mr/shuffle.h).
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/value.h"
 
@@ -25,20 +28,6 @@ struct KeyValue {
   Row value;
   std::uint8_t source = 0;
   std::uint32_t exclude = 0;
-
-  /// Normalized key: the order-preserving binary encoding of `key`
-  /// (common/normkey.h), computed once at map-emit time and reused by
-  /// every comparison on the shuffle path — partition hash, map-side
-  /// sort, reduce-side merge, key grouping. Purely an in-memory cache:
-  /// never serialized and never counted by kv_byte_size (the cost model
-  /// keeps charging the wire encoding of `key`).
-  std::string norm_key;
-
-  /// Emit sequence number within this pair's map-side partition bucket.
-  /// Tie-breaks pairs with identical (key, source) so plain std::sort
-  /// over (norm_key, source, seq) reproduces exactly the order the old
-  /// stable_sort produced.
-  std::uint32_t seq = 0;
 
   /// True if merged job `job_id` should process this pair.
   bool visible_to(int job_id) const {
@@ -57,10 +46,10 @@ std::uint64_t kv_byte_size(const KeyValue& kv, int num_merged_jobs,
                            TagEncoding enc);
 
 /// Reference ordering of the shuffle sort: by key, then source (so
-/// reducers see a deterministic value order). The engine's hot path uses
-/// the equivalent raw comparator over normalized keys (mr/shuffle.h);
+/// reducers see a deterministic value order). The engine sorts the
+/// serialized pairs by their normalized key bytes instead (mr/shuffle.h);
 /// this cell-by-cell form remains the executable specification that
-/// tests pin the raw path against.
+/// tests pin that sort against.
 bool kv_less(const KeyValue& a, const KeyValue& b);
 
 }  // namespace ysmart

@@ -1,114 +1,101 @@
 #include "mr/shuffle.h"
 
 #include <algorithm>
-#include <atomic>
-#include <queue>
+#include <limits>
 
-#include "common/env.h"
-#include "common/prof_counters.h"
+#include "common/error.h"
 
 namespace ysmart {
 
 namespace {
 
-std::atomic<bool>& raw_flag() {
-  static std::atomic<bool> flag{env_flag("YSMART_RAW_COMPARATOR").value_or(true)};
-  return flag;
+/// The first 8 bytes of `key`, big-endian, zero-padded: comparing two
+/// prefixes as integers agrees with comparing the keys bytewise whenever
+/// the prefixes differ (a shorter key's padding is 0, the lowest byte).
+std::uint64_t key_prefix(std::string_view key) {
+  std::uint64_t p = 0;
+  const std::size_t n = std::min<std::size_t>(key.size(), 8);
+  for (std::size_t i = 0; i < n; ++i)
+    p |= std::uint64_t{static_cast<unsigned char>(key[i])} << (56 - 8 * i);
+  return p;
 }
 
-/// Three-way (key, source) comparison via the cached normalized key.
-inline int raw_compare(const KeyValue& a, const KeyValue& b) {
-  prof::count(prof::kRawKeyCompares);
-  const int c = norm_key_compare(a.norm_key, b.norm_key);
-  if (c != 0) return c;
-  return static_cast<int>(a.source) - static_cast<int>(b.source);
+void decode_cells(const std::string& arena, std::size_t pos, std::size_t len,
+                  Row& out) {
+  out.clear();
+  const std::size_t end = pos + len;
+  while (pos < end) out.push_back(Value::decode(arena, pos));
 }
 
-/// Same ordering through the slow cell-by-cell path.
-inline int slow_compare(const KeyValue& a, const KeyValue& b) {
-  const auto c = compare_rows(a.key, b.key);
-  if (c < 0) return -1;
-  if (c > 0) return 1;
-  return static_cast<int>(a.source) - static_cast<int>(b.source);
-}
-
-template <typename Compare3>
-std::vector<KeyValue> merge_impl(
-    const std::vector<std::vector<KeyValue>*>& runs, Compare3 cmp) {
-  struct Cursor {
-    std::size_t run;
-    std::size_t pos;
-  };
-  std::size_t total = 0;
-  std::vector<std::size_t> live;
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    if (!runs[r] || runs[r]->empty()) continue;
-    total += runs[r]->size();
-    live.push_back(r);
-  }
-  std::vector<KeyValue> out;
-  out.reserve(total);
-  if (live.size() == 1) {
-    out = std::move(*runs[live[0]]);
-    runs[live[0]]->clear();
-    return out;
-  }
-
-  // Min-heap: smallest (key, source, run index) on top.
-  auto greater = [&](const Cursor& a, const Cursor& b) {
-    const int c = cmp((*runs[a.run])[a.pos], (*runs[b.run])[b.pos]);
-    if (c != 0) return c > 0;
-    return a.run > b.run;
-  };
-  std::priority_queue<Cursor, std::vector<Cursor>, decltype(greater)> heap(
-      greater);
-  for (std::size_t r : live) heap.push(Cursor{r, 0});
-  while (!heap.empty()) {
-    const Cursor c = heap.top();
-    heap.pop();
-    auto& run = *runs[c.run];
-    out.push_back(std::move(run[c.pos]));
-    if (c.pos + 1 < run.size()) heap.push(Cursor{c.run, c.pos + 1});
-  }
-  for (std::size_t r : live) runs[r]->clear();
-  return out;
+std::uint32_t narrow(std::size_t n) {
+  check(n <= std::numeric_limits<std::uint32_t>::max(),
+        "map output partition exceeds 4 GiB");
+  return static_cast<std::uint32_t>(n);
 }
 
 }  // namespace
 
-bool raw_comparator_enabled() {
-  return raw_flag().load(std::memory_order_relaxed);
+void MapOutput::decode_key(const MapOutputEntry& e, Row& out) const {
+  decode_cells(arena, std::size_t{e.offset} + e.key_len, e.wire_key_len, out);
 }
 
-void set_raw_comparator_enabled(bool on) {
-  raw_flag().store(on, std::memory_order_relaxed);
+void MapOutput::decode_value(const MapOutputEntry& e, Row& out) const {
+  decode_cells(arena,
+               std::size_t{e.offset} + e.key_len + e.wire_key_len,
+               e.value_len, out);
 }
 
-void sort_map_bucket(std::vector<KeyValue>& bucket) {
-  if (raw_comparator_enabled()) {
-    std::sort(bucket.begin(), bucket.end(),
-              [](const KeyValue& a, const KeyValue& b) {
-                const int c = raw_compare(a, b);
-                if (c != 0) return c < 0;
-                return a.seq < b.seq;
-              });
-  } else {
-    std::sort(bucket.begin(), bucket.end(),
-              [](const KeyValue& a, const KeyValue& b) {
-                const int c = slow_compare(a, b);
-                if (c != 0) return c < 0;
-                return a.seq < b.seq;
-              });
+std::size_t MapOutputBuffer::add(const KeyValue& kv) {
+  prof::count(prof::kNormKeyEncodes);
+  key_.clear();
+  for (const Value& v : kv.key) append_norm_key(v, key_);
+  const std::size_t p =
+      static_cast<std::size_t>(norm_key_hash(key_)) % parts_.size();
+  MapOutput& out = parts_[p];
+  std::string& a = out.arena;
+  MapOutputEntry e;
+  e.prefix = key_prefix(key_);
+  e.offset = narrow(a.size());
+  e.key_len = narrow(key_.size());
+  a.append(key_);
+  const std::size_t wire_key = a.size();
+  for (const Value& v : kv.key) v.encode(a);
+  const std::size_t value = a.size();
+  for (const Value& v : kv.value) v.encode(a);
+  e.wire_key_len = narrow(value - wire_key);
+  e.value_len = narrow(a.size() - value);
+  e.exclude = kv.exclude;
+  e.source = kv.source;
+  out.index.push_back(e);
+  return p;
+}
+
+std::vector<ShuffleRef> sort_partition(PartitionRuns runs) {
+  check(runs.size() <= ShuffleRef::kTaskMask + 1u,
+        "too many map tasks for one shuffle");
+  std::size_t total = 0;
+  for (const MapOutput* r : runs) total += r->index.size();
+  std::vector<ShuffleRef> refs;
+  refs.reserve(total);
+  for (std::size_t t = 0; t < runs.size(); ++t) {
+    const MapOutput& run = *runs[t];
+    for (std::size_t i = 0; i < run.index.size(); ++i) {
+      const MapOutputEntry& e = run.index[i];
+      refs.push_back(ShuffleRef{
+          e.prefix, run.arena.data() + e.offset, e.key_len,
+          (std::uint32_t{e.source} << 24) | static_cast<std::uint32_t>(t),
+          static_cast<std::uint32_t>(i)});
+    }
   }
-}
-
-std::vector<KeyValue> merge_sorted_runs(
-    const std::vector<std::vector<KeyValue>*>& runs) {
-  if (raw_comparator_enabled())
-    return merge_impl(
-        runs, [](const KeyValue& a, const KeyValue& b) { return raw_compare(a, b); });
-  return merge_impl(
-      runs, [](const KeyValue& a, const KeyValue& b) { return slow_compare(a, b); });
+  std::sort(refs.begin(), refs.end(), [](const ShuffleRef& a, const ShuffleRef& b) {
+    prof::count(prof::kRawKeyCompares);
+    if (a.prefix != b.prefix) return a.prefix < b.prefix;
+    const int c = norm_key_compare(a.norm_key(), b.norm_key());
+    if (c != 0) return c < 0;
+    if (a.source_task != b.source_task) return a.source_task < b.source_task;
+    return a.pos < b.pos;
+  });
+  return refs;
 }
 
 }  // namespace ysmart

@@ -14,7 +14,7 @@
 //      └─ job:<name>
 //         ├─ sched          (simulated only: submission delay)
 //         ├─ map
-//         ├─ shuffle-sort   (reduce-side merge of sorted map buckets)
+//         ├─ shuffle-sort   (one sort of each reduce partition's map output)
 //         ├─ reduce
 //         └─ post-job       (output materialization to the DFS)
 //

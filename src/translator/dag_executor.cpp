@@ -28,57 +28,72 @@ QueryRunResult run_translated(const TranslatedQuery& query, Engine& engine,
   std::vector<std::size_t> pending(query.jobs.size());
   for (std::size_t i = 0; i < pending.size(); ++i) pending[i] = i;
 
+  // Without keep_intermediates, the query's outputs leave the DFS on
+  // every exit, a throwing job included: the result once it is taken, the
+  // intermediates of every job that finished.
+  auto remove_outputs = [&] {
+    if (keep_intermediates) return;
+    for (const auto& p : scratch_paths)
+      if (engine.dfs().exists(p)) engine.dfs().remove(p);
+    if (engine.dfs().exists(result_path)) engine.dfs().remove(result_path);
+  };
+
   bool any_failed = false;
   std::size_t wave_idx = 0;
-  while (!pending.empty() && !any_failed) {
-    std::vector<std::size_t> wave;
-    for (std::size_t i : pending) {
-      bool ready = true;
-      for (const auto& in : query.jobs[i].input_files)
-        if (!available.count(in.path)) ready = false;
-      if (ready) {
-        wave.push_back(i);
-        if (!profile.concurrent_job_submission) break;  // serial: one job
-      }
-    }
-    check(!wave.empty(), "translated query has a dependency cycle");
-
-    // Jobs in one wave run concurrently on the modeled timeline: every
-    // job in it starts at the wave's simulated start, and the wave ends
-    // when its slowest job does; the observer places them so.
-    obs::ScopedSpan wave_span(engine.obs(), strf("wave:%zu", wave_idx), "wave");
-    obs::WaveRecord rec{static_cast<int>(wave_idx), wave.size(),
-                        wave_span.id()};
-    obs::observe(engine.obs(), obs::WavePoint::Start, rec);
-    ++wave_idx;
-    try {
-      for (std::size_t i : wave) {
-        const auto& job = query.jobs[i];
-        MRJobSpec spec = build_common_job(job, profile, engine.dfs());
-        JobMetrics m = engine.run(spec);
-        rec.elapsed_s = std::max(rec.elapsed_s, m.total_time_s());
-        any_failed |= m.failed;
-        out.metrics.jobs.push_back(std::move(m));
-        for (const auto& o : job.outputs) {
-          available.insert(o.path);
-          if (o.path != result_path) scratch_paths.insert(o.path);
+  try {
+    while (!pending.empty() && !any_failed) {
+      std::vector<std::size_t> wave;
+      for (std::size_t i : pending) {
+        bool ready = true;
+        for (const auto& in : query.jobs[i].input_files)
+          if (!available.count(in.path)) ready = false;
+        if (ready) {
+          wave.push_back(i);
+          if (!profile.concurrent_job_submission) break;  // serial: one job
         }
       }
-    } catch (...) {
-      // Publish the wave on every exit, as Database::run does its query,
-      // so every job the observer recorded has its wave's record.
+      check(!wave.empty(), "translated query has a dependency cycle");
+
+      // Jobs in one wave run concurrently on the modeled timeline: every
+      // job in it starts at the wave's simulated start, and the wave ends
+      // when its slowest job does; the observer places them so.
+      obs::ScopedSpan wave_span(engine.obs(), strf("wave:%zu", wave_idx), "wave");
+      obs::WaveRecord rec{static_cast<int>(wave_idx), wave.size(),
+                          wave_span.id()};
+      obs::observe(engine.obs(), obs::WavePoint::Start, rec);
+      ++wave_idx;
+      try {
+        for (std::size_t i : wave) {
+          const auto& job = query.jobs[i];
+          MRJobSpec spec = build_common_job(job, profile, engine.dfs());
+          JobMetrics m = engine.run(spec);
+          rec.elapsed_s = std::max(rec.elapsed_s, m.total_time_s());
+          any_failed |= m.failed;
+          out.metrics.jobs.push_back(std::move(m));
+          for (const auto& o : job.outputs) {
+            available.insert(o.path);
+            if (o.path != result_path) scratch_paths.insert(o.path);
+          }
+        }
+      } catch (...) {
+        // Publish the wave on every exit, as Database::run does its query,
+        // so every job the observer recorded has its wave's record.
+        obs::observe(engine.obs(), obs::WavePoint::Done, rec);
+        throw;
+      }
+      out.metrics.wall_time_s += rec.elapsed_s;
+      rec.aborts = any_failed;
+      rec.pending_jobs = pending.size() - wave.size();
       obs::observe(engine.obs(), obs::WavePoint::Done, rec);
-      throw;
+      std::vector<std::size_t> rest;
+      for (std::size_t i : pending)
+        if (std::find(wave.begin(), wave.end(), i) == wave.end())
+          rest.push_back(i);
+      pending = std::move(rest);
     }
-    out.metrics.wall_time_s += rec.elapsed_s;
-    rec.aborts = any_failed;
-    rec.pending_jobs = pending.size() - wave.size();
-    obs::observe(engine.obs(), obs::WavePoint::Done, rec);
-    std::vector<std::size_t> rest;
-    for (std::size_t i : pending)
-      if (std::find(wave.begin(), wave.end(), i) == wave.end())
-        rest.push_back(i);
-    pending = std::move(rest);
+  } catch (...) {
+    remove_outputs();
+    throw;
   }
 
   // A failed job (DNF) aborts the query: jobs still pending are never
@@ -86,11 +101,7 @@ QueryRunResult run_translated(const TranslatedQuery& query, Engine& engine,
   // metrics remain checkable — are not consumed as a result. This is
   // what the paper's DNF rows report (e.g. Pig on Q-CSA, Section VII).
   if (!any_failed) out.result = engine.dfs().file(result_path).table;
-  if (!keep_intermediates) {
-    for (const auto& p : scratch_paths)
-      if (engine.dfs().exists(p)) engine.dfs().remove(p);
-    if (engine.dfs().exists(result_path)) engine.dfs().remove(result_path);
-  }
+  remove_outputs();
   return out;
 }
 

@@ -406,6 +406,7 @@ TEST(QueryLifecycle, QueryThatThrowsStillPublishesItsRecord) {
     db.create_table("nation", nation);
     obs::ObsContext obs;
     db.set_observer(&obs);
+    const std::vector<std::string> files = db.dfs().list();
     std::string what;
     try {
       db.run(sql, TranslatorProfile::ysmart());
@@ -413,6 +414,8 @@ TEST(QueryLifecycle, QueryThatThrowsStillPublishesItsRecord) {
       what = e.what();
     }
     ASSERT_NE(what.find("value is not numeric"), std::string::npos);
+    // The jobs that finished before the throw leave no output behind.
+    EXPECT_EQ(db.dfs().list(), files);
 
     // Progress ends inactive and failed, with no job left running.
     const obs::ProgressSnapshot p = obs.progress.snapshot();

@@ -267,18 +267,17 @@ TEST_F(ProfiledEngineRun, RecordsEveryEnginePhase) {
     EXPECT_GT(p->phase_wall_ns, 0u) << phase;
   }
   // The hot loops actually dispatched through the counted paths: cells
-  // are encoded while mapping, and keys are compared when the map side
-  // sorts its buckets and the reduce side groups runs (with one map task
-  // the shuffle-sort merge degenerates to a move, so the compares land
-  // in the map and reduce phases).
+  // are encoded while mapping (into the map output arenas), and keys are
+  // compared where the shuffle-sort pass sorts each partition and the
+  // reduce pass groups it. The map phase no longer sorts.
   const obs::HostPhase* map = find("map");
   EXPECT_GT(map->dispatch[prof::kCellsEncoded], 0u);
+  EXPECT_EQ(map->dispatch[prof::kRawKeyCompares], 0u);
+  const obs::HostPhase* sort = find("shuffle-sort");
   const obs::HostPhase* reduce = find("reduce");
-  EXPECT_GT(map->dispatch[prof::kRawKeyCompares] +
-                map->dispatch[prof::kCellCompares] +
-                reduce->dispatch[prof::kRawKeyCompares] +
-                reduce->dispatch[prof::kCellCompares],
-            0u);
+  EXPECT_GT(sort->dispatch[prof::kRawKeyCompares], 0u);
+  EXPECT_GT(reduce->dispatch[prof::kRawKeyCompares], 0u);
+  EXPECT_GT(reduce->dispatch[prof::kCellsDecoded], 0u);
 }
 
 TEST_F(ProfiledEngineRun, PhasesSatisfyTheReconciliationContract) {

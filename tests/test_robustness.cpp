@@ -15,7 +15,6 @@
 #include "data/tpch_gen.h"
 #include "exec/batch.h"
 #include "mr/engine.h"
-#include "mr/shuffle.h"
 #include "obs/analyzer.h"
 #include "obs/cluster_view.h"
 #include "obs/obs.h"
@@ -493,80 +492,6 @@ TEST(PoolInvariance, FullObservabilityDoesNotPerturbQueryRuns) {
   EXPECT_EQ(rec.analyzer_text, rec3.analyzer_text);
   EXPECT_GT(profiled.profiler.phase_count(), 0u);
   EXPECT_GT(profiled.profiler.process_cpu_ns(), 0u);
-}
-
-// ---- raw comparator escape hatch: a pure host-side optimization ----
-
-TEST(RawComparatorModes, SimulationIsBitIdenticalWithFastPathOnAndOff) {
-  // The Fig. 9 workload (Q21 "Left Outer Join1" sub-tree, a merged CMF
-  // job under the YSmart profile) run twice: once on the memcmp raw
-  // comparator, once on the compare_rows fallback. The knob may only
-  // change host wall-clock — everything simulated must match byte for
-  // byte: metrics, results, analyzer JSON, and the sim-axis journal.
-  TpchConfig small;
-  small.orders = 1500;
-  small.parts = 200;
-  small.customers = 150;
-  small.suppliers = 20;
-  const TpchData tpch = generate_tpch(small);
-
-  struct Outcome {
-    QueryRunResult run;
-    std::string journal;
-    std::string analyzer;
-    std::string digest;
-  };
-  const bool saved = raw_comparator_enabled();
-  auto run_mode = [&](bool raw) {
-    set_raw_comparator_enabled(raw);
-    Database db(ClusterConfig::small_local(1.0));
-    db.create_table("lineitem", tpch.lineitem);
-    db.create_table("orders", tpch.orders);
-    db.create_table("supplier", tpch.supplier);
-    db.create_table("nation", tpch.nation);
-    obs::ObsContext obs;
-    db.set_observer(&obs);
-    Outcome o{db.run(queries::q21_subtree().sql, TranslatorProfile::ysmart()),
-              obs.events.jsonl(obs::EventLog::IncludeWall::No), "", ""};
-    obs::QueryHistoryRecord rec;
-    if (obs.history.at(0, &rec)) {
-      o.analyzer = rec.analyzer_text;
-      o.digest = rec.digest;
-    }
-    return o;
-  };
-  const Outcome on = run_mode(true);
-  const Outcome off = run_mode(false);
-  set_raw_comparator_enabled(saved);
-
-  ASSERT_FALSE(on.run.metrics.failed());
-  ASSERT_FALSE(off.run.metrics.failed());
-  // Exact equality on the simulated doubles, not just approximate.
-  EXPECT_EQ(on.run.metrics.total_time_s(), off.run.metrics.total_time_s());
-  EXPECT_EQ(on.run.metrics.wall_time_s, off.run.metrics.wall_time_s);
-  ASSERT_EQ(on.run.metrics.jobs.size(), off.run.metrics.jobs.size());
-  for (std::size_t i = 0; i < on.run.metrics.jobs.size(); ++i) {
-    const auto& a = on.run.metrics.jobs[i];
-    const auto& b = off.run.metrics.jobs[i];
-    EXPECT_EQ(a.map_time_s, b.map_time_s) << "job " << i;
-    EXPECT_EQ(a.reduce_time_s, b.reduce_time_s) << "job " << i;
-    EXPECT_EQ(a.shuffle_bytes_raw, b.shuffle_bytes_raw) << "job " << i;
-    EXPECT_EQ(a.shuffle_bytes_wire, b.shuffle_bytes_wire) << "job " << i;
-    EXPECT_EQ(a.dfs_write_bytes, b.dfs_write_bytes) << "job " << i;
-    EXPECT_EQ(a.reduce.output_records, b.reduce.output_records) << "job " << i;
-  }
-  // Identical result rows in identical order.
-  ASSERT_NE(on.run.result, nullptr);
-  ASSERT_NE(off.run.result, nullptr);
-  ASSERT_EQ(on.run.result->row_count(), off.run.result->row_count());
-  for (std::size_t i = 0; i < on.run.result->rows().size(); ++i)
-    EXPECT_EQ(compare_rows(on.run.result->rows()[i], off.run.result->rows()[i]),
-              std::strong_ordering::equal);
-  // Analyzer JSON and the sim-axis event journal, byte for byte.
-  EXPECT_FALSE(on.analyzer.empty());
-  EXPECT_EQ(on.analyzer, off.analyzer);
-  EXPECT_EQ(on.digest, off.digest);
-  EXPECT_EQ(on.journal, off.journal);
 }
 
 // ---- vectorized execution: a pure host-side optimization ----
