@@ -9,17 +9,12 @@
 // The data and expressions are shaped like the fig09/fig10 map phases: a
 // TPC-H lineitem-style table, a two-conjunct numeric filter, an
 // arithmetic projection (price * (1 - discount)) and a grouped
-// sum/avg/count. --json records one schema-conforming record per
-// (size, mode); wall_ms is the phase total, and the simulated metrics
-// come from running an equivalent workload through the engine (identical
-// in both modes — the knob never touches the simulation, pinned by
-// tests/test_robustness.cpp). The two modes' output rows of every phase
-// must agree bit for bit; the bench exits non-zero when they do not.
+// sum/avg/count. The two modes' output rows of every phase must agree bit
+// for bit; the bench exits non-zero when they do not.
 #include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -27,9 +22,7 @@
 #include "common/rng.h"
 #include "exec/batch.h"
 #include "exec/operators.h"
-#include "mr/engine.h"
 #include "plan/builder.h"
-#include "report.h"
 #include "sql/parser.h"
 #include "storage/catalog.h"
 
@@ -137,64 +130,9 @@ bool outputs_agree(const char* phase, std::size_t n, const std::vector<Row>& vec
   return true;
 }
 
-/// Run an equivalent filter + grouped-sum job through the engine so the
-/// JSON record carries honest simulated metrics (mode-independent).
-QueryMetrics engine_metrics(const std::vector<Row>& rows) {
-  auto t = std::make_shared<Table>(lineitem_schema());
-  for (const Row& r : rows) t->append(r);
-
-  auto cfg = ClusterConfig::small_local(1.0);
-  Dfs dfs(cfg.worker_nodes, cfg.scaled_block_bytes(), cfg.replication);
-  dfs.write("/in", t);
-  Engine engine(dfs, cfg);
-
-  const Schema in = lineitem_schema();
-  BoundExpr filter(parse_expression("l_quantity < 24.0 and l_discount >= 0.02"),
-                   in);
-  BoundExpr revenue(
-      parse_expression("l_extendedprice * (1 - l_discount)"), in);
-
-  MRJobSpec spec;
-  spec.name = "exec-agg";
-  spec.inputs = {{"/in", 0}};
-  Schema out;
-  out.add("l_suppkey", ValueType::Int);
-  out.add("revenue", ValueType::Double);
-  spec.outputs = {{"/out", out}};
-  struct M final : Mapper {
-    const BoundExpr* filter;
-    const BoundExpr* revenue;
-    void map(const Row& r, int, MapEmitter& e) override {
-      if (!is_true(filter->eval(r))) return;
-      e.emit(Row{r[1]}, Row{revenue->eval(r)});
-    }
-  };
-  struct R final : Reducer {
-    void reduce(const Row& k, std::span<const KeyValue> v,
-                ReduceEmitter& e) override {
-      double sum = 0;
-      for (const auto& kv : v) sum += kv.value[0].numeric();
-      e.emit(Row{k[0], Value{sum}});
-    }
-  };
-  spec.make_mapper = [&] {
-    auto m = std::make_unique<M>();
-    m->filter = &filter;
-    m->revenue = &revenue;
-    return m;
-  };
-  spec.make_reducer = [] { return std::make_unique<R>(); };
-
-  QueryMetrics m;
-  m.jobs.push_back(engine.run(spec));
-  m.wall_time_s = m.total_time_s();
-  return m;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  Report report("bench_exec", argc, argv);
+int main() {
   print_header("Exec kernels: columnar batches vs per-row variant dispatch");
 
   constexpr std::size_t kSizes[] = {50'000, 200'000, 800'000};
@@ -227,7 +165,6 @@ int main(int argc, char** argv) {
   for (const std::size_t n : kSizes) {
     const auto rows = make_rows(n);
     const auto view = view_of(rows);
-    const QueryMetrics sim = engine_metrics(rows);
     PhaseRun best[2];
     for (const bool vec : {true, false}) {
       set_vectorized_enabled(vec);
@@ -239,8 +176,6 @@ int main(int argc, char** argv) {
       std::printf("%10zu %5s %10.2f %10.2f %10.2f %10.2f\n", n,
                   vec ? "vec" : "row", t.filter_ms, t.project_ms, t.agg_ms,
                   t.total_ms());
-      report.record("exec-" + std::to_string(n), vec ? "vec" : "row", sim,
-                    t.total_ms());
     }
     agree &= outputs_agree("filter", n, best[0].filtered, best[1].filtered);
     agree &= outputs_agree("project", n, best[0].projected, best[1].projected);

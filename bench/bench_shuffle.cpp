@@ -6,10 +6,7 @@
 // runs per pair: emit (normalize the key, pick the partition, append the
 // key and value bytes to the task's arena), the partition sort (one sort
 // of the gathered index), and group-and-decode (find key groups, decode
-// each group's key and values into reused scratch). --json records one
-// schema-conforming record per size; wall_ms is the phase total, and the
-// simulated metrics come from running a count-per-key job over the same
-// pairs through the engine.
+// each group's key and values into reused scratch).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -18,9 +15,7 @@
 
 #include "common.h"
 #include "common/rng.h"
-#include "mr/engine.h"
 #include "mr/shuffle.h"
-#include "report.h"
 
 namespace {
 
@@ -94,54 +89,9 @@ PhaseTimes time_phases(const std::vector<KeyValue>& pairs,
   return t;
 }
 
-/// Run the equivalent count-per-key job through the engine so the JSON
-/// record carries honest simulated metrics.
-QueryMetrics engine_metrics(std::size_t n) {
-  Schema in;
-  in.add("region", ValueType::String);
-  in.add("customer", ValueType::String);
-  in.add("c", ValueType::Int);
-  in.add("g", ValueType::Int);
-  auto t = std::make_shared<Table>(in);
-  for (const KeyValue& kv : make_pairs(n))
-    t->append(kv.key);
-
-  auto cfg = ClusterConfig::small_local(1.0);
-  Dfs dfs(cfg.worker_nodes, cfg.scaled_block_bytes(), cfg.replication);
-  dfs.write("/in", t);
-  Engine engine(dfs, cfg);
-
-  MRJobSpec spec;
-  spec.name = "shuffle-count";
-  spec.inputs = {{"/in", 0}};
-  Schema out = in;
-  out.add("n", ValueType::Int);
-  spec.outputs = {{"/out", out}};
-  struct M final : Mapper {
-    void map(const Row& r, int, MapEmitter& e) override {
-      e.emit(r, Row{Value{1}});
-    }
-  };
-  struct R final : Reducer {
-    void reduce(const Row& k, std::span<const KeyValue> v,
-                ReduceEmitter& e) override {
-      e.emit(Row{k[0], k[1], k[2], k[3],
-                 Value{static_cast<std::int64_t>(v.size())}});
-    }
-  };
-  spec.make_mapper = [] { return std::make_unique<M>(); };
-  spec.make_reducer = [] { return std::make_unique<R>(); };
-
-  QueryMetrics m;
-  m.jobs.push_back(engine.run(spec));
-  m.wall_time_s = m.total_time_s();
-  return m;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  Report report("bench_shuffle", argc, argv);
+int main() {
   print_header("Serialized shuffle: emit, partition sort, group and decode");
 
   constexpr std::size_t kSizes[] = {50'000, 200'000, 800'000};
@@ -152,7 +102,6 @@ int main(int argc, char** argv) {
               "sort ms", "group ms", "total ms", "groups");
   for (const std::size_t n : kSizes) {
     const auto pairs = make_pairs(n);
-    const QueryMetrics sim = engine_metrics(n);
     PhaseTimes best;
     for (int rep = 0; rep < kReps; ++rep) {
       const PhaseTimes cur = time_phases(pairs, kTasks);
@@ -160,8 +109,6 @@ int main(int argc, char** argv) {
     }
     std::printf("%10zu %10.2f %10.2f %10.2f %10.2f %9zu\n", n, best.emit_ms,
                 best.sort_ms, best.group_ms, best.total_ms(), best.groups);
-    report.record("shuffle-" + std::to_string(n), "serialized", sim,
-                  best.total_ms());
   }
   return 0;
 }

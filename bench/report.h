@@ -1,16 +1,20 @@
-// Machine-readable bench output: --json, --trace and --analyze <path>.
+// Machine-readable bench output: --json, --trace, --analyze, --cluster,
+// --explain, --folded and --progress.
 //
 // Every figure bench accepts
 //
-//   fig10_small_cluster --json BENCH_fig10.json --trace fig10.trace.json \
-//                       --analyze fig10.analysis.json
+//   fig10_small_cluster --json BENCH_fig10.json --trace fig10.trace.json
 //
 // --json writes one JSON document (schema: bench/bench_schema.json,
 // validated in CI by tools/validate_bench_json.py) with one record per
-// (query, profile) run: job count, simulated per-phase times, byte
-// counters, and host wall-clock. --trace additionally attaches an
-// observability context to every recorded run and writes the combined
-// Chrome trace_event file, loadable in chrome://tracing or Perfetto.
+// (query, profile) run: job count, failure, simulated per-phase times,
+// byte counters and per-job times. The report holds no host-clock value:
+// it is a pure function of the code and of the toolchain its header
+// names, so two runs at any YSMART_THREADS write the same bytes, and
+// tools/bench_diff.py compares every record field for field against
+// BENCH_baseline.json. --trace additionally attaches an observability
+// context to every recorded run and writes the combined Chrome
+// trace_event file, loadable in chrome://tracing or Perfetto.
 // --analyze also attaches the context, runs the query-doctor analyzer
 // (obs/analyzer.h) over each run's task samples, embeds the analysis in
 // each --json record under "analyzer", and writes a standalone analyses
@@ -26,23 +30,15 @@
 // --json record under "plan", and writes the standalone plan document
 // (schema: bench/plan_schema.json) with the full reports and the
 // session's q-error calibration ring.
+// --folded <path> turns the host profiler on and writes the whole bench's
+// folded-stack flamegraph (pipe through flamegraph.pl); host numbers go
+// nowhere else.
 // --progress (no value) prints live per-job completion lines on
 // stderr while runs execute; it only reads the progress tracker, so the
-// --json report's *simulated* values are identical with or without it
-// (pinned by the CI regression gate against BENCH_baseline.json).
-//
-// Host profiling: whenever --json or --folded is requested (and
-// YSMART_PROFILE is not "off"), the host profiler is enabled and each
-// --json record whose run the profiler saw gains a "host_phases"
-// section — per-phase host CPU, per-chunk wall, allocation counts and
-// dispatch counters, with its own schema_version (see obs/profiler.h).
-// --folded <path> writes the whole bench's folded-stack flamegraph
-// (pipe through flamegraph.pl). Host numbers are informational: only
-// simulated values are gated. Without flags the benches behave exactly
-// as before: no observer is attached and nothing is written.
+// --json report is identical with or without it.
+// Without flags no observer is attached and nothing is written.
 #pragma once
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,13 +46,16 @@
 #include <vector>
 
 #include "api/database.h"
-#include "common/env.h"
 #include "common/io.h"
 #include "common/json.h"
 #include "mr/metrics.h"
 #include "obs/analyzer.h"
 #include "obs/cluster_view.h"
 #include "obs/obs.h"
+
+#if defined(__GLIBC__)
+#include <gnu/libc-version.h>
+#endif
 
 namespace ysmart::bench {
 
@@ -76,9 +75,31 @@ inline std::string git_sha() {
   return out.empty() ? "unknown" : out;
 }
 
+/// The compiler and C library the bench was built and runs with, e.g.
+/// "gcc 12.2.0, glibc 2.36". Simulated values are bit-exact only on one
+/// toolchain (the data generators and the contention draws go through
+/// libm), so bench_diff compares reports only against a baseline blessed
+/// on the same one.
+inline std::string toolchain() {
+#if defined(__clang__)
+  std::string out = std::string("clang ") + __clang_version__;
+#else
+  std::string out = std::string("gcc ") + __VERSION__;
+#endif
+#if defined(__GLIBC__)
+  out += std::string(", glibc ") + gnu_get_libc_version();
+#else
+  out += ", unknown libc";
+#endif
+  return out;
+}
+
 class Report {
  public:
-  static constexpr int kSchemaVersion = 1;
+  /// bench/bench_schema.json's version. The analyzer, cluster and plan
+  /// documents carry kViewSchemaVersion.
+  static constexpr int kSchemaVersion = 2;
+  static constexpr int kViewSchemaVersion = 1;
 
   Report(std::string bench_name, int argc, char** argv)
       : bench_(std::move(bench_name)) {
@@ -91,12 +112,7 @@ class Report {
       if (std::strcmp(argv[i], "--explain") == 0) explain_path_ = argv[i + 1];
     }
     if (!explain_path_.empty()) obs_.plans.set_enabled(true);
-    // Host profiling rides along with any output that can carry it,
-    // unless YSMART_PROFILE=off (the escape hatch when the report's
-    // wall_ms must exclude even the profiler's relaxed-atomic cost).
-    host_profiling_ = env_flag("YSMART_PROFILE").value_or(true) &&
-                      (!json_path_.empty() || !folded_path_.empty());
-    if (host_profiling_) obs_.profiler.set_enabled(true);
+    if (profiling()) obs_.profiler.set_enabled(true);
     // --progress takes no value, so scan the full argv separately.
     for (int i = 1; i < argc; ++i)
       if (std::strcmp(argv[i], "--progress") == 0) progress_ = true;
@@ -125,27 +141,23 @@ class Report {
   bool analyzing() const { return !analyze_path_.empty(); }
   bool clustering() const { return !cluster_path_.empty(); }
   bool explaining() const { return !explain_path_.empty(); }
+  bool profiling() const { return !folded_path_.empty(); }
   bool progress() const { return progress_; }
-  bool host_profiling() const { return host_profiling_; }
   /// The observability context runs attach, or null when neither tracing,
-  /// analyzing, clustering, explaining, host-profiling nor printing
-  /// progress.
+  /// analyzing, clustering, explaining, profiling nor printing progress.
   obs::ObsContext* obs() {
     return tracing() || analyzing() || clustering() || explaining() ||
-                   progress_ || host_profiling_
+                   profiling() || progress_
                ? &obs_
                : nullptr;
   }
 
   void record(const std::string& query, const std::string& profile,
-              const QueryMetrics& m, double wall_ms) {
-    if (json_path_.empty() && analyze_path_.empty() && cluster_path_.empty())
-      return;
+              const QueryMetrics& m) {
     Record r;
     r.query = query;
     r.profile = profile;
     r.metrics = m;
-    r.wall_ms = wall_ms;
     if (analyzing() && obs_.samples.query_count() > 0) {
       // The run just recorded is the sample store's most recent query.
       const obs::AnalyzerReport a =
@@ -165,26 +177,18 @@ class Report {
           trace_extra_events_.push_back(std::move(ev));
       }
     }
-    if (explaining() && obs_.plans.report_count() > plan_reports_upto_) {
-      // The run just recorded produced the store's most recent report.
+    if (explaining()) {
+      // The store keeps only its last few reports, so count joins by the
+      // calibration ring's running total, which eviction never lowers.
+      const std::uint64_t joined = obs_.plans.calibration().total_recorded;
       obs::PlanReport rep;
-      if (obs_.plans.last_report(&rep)) {
+      // A new join means the run just recorded produced the store's most
+      // recent report.
+      if (joined > plans_joined_ && obs_.plans.last_report(&rep)) {
         r.plan_json_full = rep.json(/*full=*/true);
         r.plan_json_compact = rep.json(/*full=*/false);
       }
-      plan_reports_upto_ = obs_.plans.report_count();
-    }
-    if (host_profiling_) {
-      // Slice out just the phases (and process CPU) recorded since the
-      // previous record, so each record's host_phases covers one run. A
-      // record with no profiled phase since then (a bench that timed
-      // its work without running a query) carries no host_phases.
-      const std::uint64_t proc = obs_.profiler.process_cpu_ns();
-      if (obs_.profiler.phase_count() > host_phases_upto_)
-        r.host_json = obs_.profiler.json(host_phases_upto_,
-                                         proc - host_proc_cpu_upto_);
-      host_phases_upto_ = obs_.profiler.phase_count();
-      host_proc_cpu_upto_ = proc;
+      plans_joined_ = joined;
     }
     records_.push_back(std::move(r));
   }
@@ -228,7 +232,7 @@ class Report {
   std::string plans_json() const {
     JsonWriter w;
     w.begin_object();
-    w.kv("schema_version", kSchemaVersion);
+    w.kv("schema_version", kViewSchemaVersion);
     w.kv("bench", std::string_view(bench_));
     w.kv("git_sha", std::string_view(git_sha()));
     w.key("plans").begin_array();
@@ -252,7 +256,7 @@ class Report {
   std::string clusters_json() const {
     JsonWriter w;
     w.begin_object();
-    w.kv("schema_version", kSchemaVersion);
+    w.kv("schema_version", kViewSchemaVersion);
     w.kv("bench", std::string_view(bench_));
     w.kv("git_sha", std::string_view(git_sha()));
     w.key("clusters").begin_array();
@@ -273,7 +277,7 @@ class Report {
   std::string analyses_json() const {
     JsonWriter w;
     w.begin_object();
-    w.kv("schema_version", kSchemaVersion);
+    w.kv("schema_version", kViewSchemaVersion);
     w.kv("bench", std::string_view(bench_));
     w.kv("git_sha", std::string_view(git_sha()));
     w.key("analyses").begin_array();
@@ -297,6 +301,7 @@ class Report {
     w.kv("schema_version", kSchemaVersion);
     w.kv("bench", std::string_view(bench_));
     w.kv("git_sha", std::string_view(git_sha()));
+    w.kv("toolchain", std::string_view(toolchain()));
     w.key("records").begin_array();
     for (const auto& r : records_) {
       const QueryMetrics& m = r.metrics;
@@ -332,10 +337,8 @@ class Report {
       w.kv("dfs_write", dfs_write);
       w.kv("remote_read", remote_read);
       w.end_object();
-      w.kv("wall_ms", r.wall_ms);
       if (!r.analyzer_json.empty()) w.key("analyzer").raw(r.analyzer_json);
       if (!r.plan_json_compact.empty()) w.key("plan").raw(r.plan_json_compact);
-      if (!r.host_json.empty()) w.key("host_phases").raw(r.host_json);
       w.key("per_job").begin_array();
       for (const auto& j : m.jobs) {
         w.begin_object();
@@ -359,13 +362,11 @@ class Report {
     std::string query;
     std::string profile;
     QueryMetrics metrics;
-    double wall_ms = 0;
     std::string analyzer_json;  // empty unless --analyze
     std::string analyzer_text;
     std::string cluster_json;  // empty unless --cluster
     std::string plan_json_full;     // empty unless --explain
     std::string plan_json_compact;  // embedded under the record's "plan"
-    std::string host_json;  // empty unless host profiling is on
   };
 
   std::string calibration_json() const {
@@ -383,33 +384,25 @@ class Report {
   std::string cluster_path_;
   std::string folded_path_;
   std::string explain_path_;
-  std::size_t plan_reports_upto_ = 0;
+  std::uint64_t plans_joined_ = 0;
   std::vector<std::string> trace_extra_events_;
   bool progress_ = false;
-  bool host_profiling_ = false;
-  std::size_t host_phases_upto_ = 0;
-  std::uint64_t host_proc_cpu_upto_ = 0;
   std::size_t last_jobs_printed_ = 0;
   std::vector<Record> records_;
   obs::ObsContext obs_;
 };
 
-/// Run one (query, profile) pair through `db`, timing the host wall-clock
-/// and recording the result in `report`. When tracing, the report's
-/// observability context is attached for the duration of the run.
+/// Run one (query, profile) pair through `db` and record the result in
+/// `report`, with the report's observability context (if any) attached
+/// for the duration of the run.
 inline QueryRunResult run_and_record(Report& report, Database& db,
                                      const std::string& query_id,
                                      const std::string& sql,
                                      const TranslatorProfile& profile) {
   db.set_observer(report.obs());
-  const auto t0 = std::chrono::steady_clock::now();
   QueryRunResult run = db.run(sql, profile);
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
   db.set_observer(nullptr);
-  report.record(query_id, profile.name, run.metrics, wall_ms);
+  report.record(query_id, profile.name, run.metrics);
   return run;
 }
 

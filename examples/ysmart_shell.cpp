@@ -31,9 +31,9 @@
 // Environment: YSMART_TRACE=<file> records the whole session and writes
 // a Chrome trace on exit; YSMART_EVENTS=<file> streams the structured
 // event journal (JSONL) as it happens; YSMART_HISTORY=<n> resizes the
-// flight recorder's retention ring (default 32); YSMART_PROFILE=off disables
-// the host-axis profiler (on by default; it only feeds \hotspots and
-// \flame, never simulated results).
+// flight recorder's retention ring (default 32). The host-axis profiler
+// is always on; it only feeds \hotspots and \flame, never simulated
+// results.
 //
 // Also reads one-shot queries from the command line:
 //   $ ./build/examples/ysmart_shell "SELECT count(*) AS n FROM lineitem"
@@ -159,10 +159,9 @@ int main(int argc, char** argv) {
   TranslatorProfile profile = TranslatorProfile::ysmart();
 
   ShellObs sobs;
-  // Host profiling is on whenever an observer is attached (off is the
-  // escape hatch); it records host-axis state only, so simulated output
-  // is unchanged either way.
-  sobs.ctx.profiler.set_enabled(env_flag("YSMART_PROFILE").value_or(true));
+  // Host profiling is on whenever an observer is attached; it records
+  // host-axis state only, so simulated output is unchanged.
+  sobs.ctx.profiler.set_enabled(true);
   const auto trace_env = env_nonempty("YSMART_TRACE");
   const auto events_env = env_nonempty("YSMART_EVENTS");
   if (const auto cap = env_positive_int("YSMART_HISTORY"))
@@ -277,9 +276,7 @@ int main(int argc, char** argv) {
         continue;
       }
       if (cmd == "hotspots") {
-        if (!sobs.ctx.profiler.enabled())
-          std::cout << "host profiler is off (YSMART_PROFILE=off)\n";
-        else if (sobs.ctx.profiler.phase_count() == 0)
+        if (sobs.ctx.profiler.phase_count() == 0)
           std::cout << "no host phases recorded yet - \\profile on and run "
                        "a query\n";
         else

@@ -20,7 +20,6 @@ ClusterConfig ClusterConfig::small_local(double sim_scale) {
   c.disk_read_mb_per_s = 90;
   c.disk_write_mb_per_s = 70;
   c.network_mb_per_s = 110;  // Gigabit Ethernet
-  c.job_startup_s = 5;
   c.task_startup_s = 1;
   return c;
 }
@@ -41,7 +40,6 @@ ClusterConfig ClusterConfig::ec2(int worker_nodes, double sim_scale) {
   c.sort_mb_per_s = 80;
   c.compression.compress_mb_per_s = 5;  // slow cores make the codec costly
   c.compression.decompress_mb_per_s = 12;
-  c.job_startup_s = 10;
   c.task_startup_s = 1.5;
   return c;
 }
@@ -61,7 +59,6 @@ ClusterConfig ClusterConfig::facebook(double sim_scale, std::uint64_t seed) {
   c.network_mb_per_s = 60;  // production network is busy
   c.map_cpu_us_per_record = 2.0;  // full-width production rows
   c.reduce_cpu_us_per_record = 2.4;
-  c.job_startup_s = 15;
   c.task_startup_s = 1;
   c.contention.enabled = true;
   c.contention.mean_sched_delay_s = 90;

@@ -67,8 +67,6 @@ struct ClusterConfig {
   /// as a throughput.
   double sort_mb_per_s = 150;
 
-  // Fixed overheads (the per-job constant YSmart amortizes away).
-  double job_startup_s = 8;   // JobTracker submission, task scheduling
   double task_startup_s = 1;  // JVM-ish per-task launch cost
 
   /// Local disk capacity per node for intermediate (map output) data;

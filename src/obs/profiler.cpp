@@ -4,7 +4,6 @@
 #include <map>
 #include <unordered_map>
 
-#include "common/json.h"
 #include "common/strings.h"
 #include "obs/trace.h"
 
@@ -68,10 +67,10 @@ std::size_t HostProfiler::phase_count() const {
   return closed_;
 }
 
-std::vector<HostPhase> HostProfiler::snapshot(std::size_t from) const {
+std::vector<HostPhase> HostProfiler::snapshot() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::vector<HostPhase> out;
-  for (std::size_t i = from; i < closed_; ++i) {
+  for (std::size_t i = 0; i < closed_; ++i) {
     const PhaseAgg& a = *phases_[i];
     HostPhase p;
     p.job = a.job;
@@ -101,8 +100,8 @@ std::string human_count(std::uint64_t n) {
 }
 }  // namespace
 
-std::string HostProfiler::hotspots_table(std::size_t from) const {
-  std::vector<HostPhase> phases = snapshot(from);
+std::string HostProfiler::hotspots_table() const {
+  std::vector<HostPhase> phases = snapshot();
   if (phases.empty())
     return "host profiler: no phases recorded (is profiling enabled and has "
            "a query run?)\n";
@@ -145,7 +144,7 @@ std::string HostProfiler::hotspots_table(std::size_t from) const {
 }
 
 std::string HostProfiler::folded_stacks(const Tracer& tracer) const {
-  std::vector<HostPhase> phases = snapshot(0);
+  std::vector<HostPhase> phases = snapshot();
   std::vector<Span> spans = tracer.spans();
   std::unordered_map<int, std::size_t> by_id;
   for (std::size_t i = 0; i < spans.size(); ++i)
@@ -181,37 +180,6 @@ std::string HostProfiler::folded_stacks(const Tracer& tracer) const {
     out += strf("%s %llu\n", path.c_str(),
                 static_cast<unsigned long long>(us));
   return out;
-}
-
-std::string HostProfiler::json(std::size_t from,
-                               std::uint64_t proc_cpu_ns) const {
-  std::vector<HostPhase> phases = snapshot(from);
-  JsonWriter w;
-  w.begin_object();
-  w.kv("schema_version", kSchemaVersion);
-  w.kv("process_cpu_ms",
-       ms(proc_cpu_ns == kUseTotal ? process_cpu_ns() : proc_cpu_ns));
-  w.key("phases").begin_array();
-  for (const HostPhase& p : phases) {
-    w.begin_object();
-    w.kv("job", p.job);
-    w.kv("phase", p.phase);
-    w.kv("cpu_ms", ms(p.cpu_ns));
-    w.kv("busy_wall_ms", ms(p.busy_wall_ns));
-    w.kv("phase_wall_ms", ms(p.phase_wall_ns));
-    w.kv("chunks", p.chunks);
-    w.kv("allocs", p.allocs);
-    w.kv("alloc_bytes", p.alloc_bytes);
-    w.kv("frees", p.frees);
-    w.key("counters").begin_object();
-    for (int c = 0; c < prof::kNumCounters; ++c)
-      w.kv(prof::counter_name(c), p.dispatch[c]);
-    w.end_object();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.take();
 }
 
 void HostProfiler::clear() {

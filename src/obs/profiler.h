@@ -13,9 +13,7 @@
 // (tests/test_robustness.cpp pins this at pool sizes 1 and 8).
 //
 // Exports:
-//  * snapshot()/json()     — per-phase records (the bench `host_phases`
-//                            section, schema-versioned independently of
-//                            the top-level bench schema)
+//  * snapshot()            — per-phase records
 //  * hotspots_table()      — ranked text table (\hotspots in the shell)
 //  * folded_stacks(tracer) — Brendan Gregg folded-stack lines, one per
 //                            profiled phase, path = the phase span's
@@ -97,28 +95,17 @@ class HostProfiler {
   void query_end();
   std::uint64_t process_cpu_ns() const;
 
-  /// Number of closed phases so far; pass as `from` to snapshot()/json()
-  /// to slice out only the phases recorded since a mark (the bench
-  /// report uses this to attribute phases to individual runs).
+  /// Number of closed phases so far.
   std::size_t phase_count() const;
-  std::vector<HostPhase> snapshot(std::size_t from = 0) const;
+  std::vector<HostPhase> snapshot() const;
 
   /// Ranked per-phase table (highest CPU first) for \hotspots.
-  std::string hotspots_table(std::size_t from = 0) const;
+  std::string hotspots_table() const;
 
   /// Folded-stack lines ("a;b;c <cpu_us>\n") weighted by host CPU.
   /// Phases whose span ancestry the tracer still holds get the full
   /// path; others fall back to "job;phase". Identical paths merge.
   std::string folded_stacks(const Tracer& tracer) const;
-
-  /// JSON object for the bench `host_phases` section. Carries its own
-  /// schema_version so the top-level bench schema stays at version 1.
-  /// `proc_cpu_ns` overrides the reported process CPU (the bench report
-  /// passes the per-run delta); kUseTotal reports the accumulated total.
-  static constexpr int kSchemaVersion = 1;
-  static constexpr std::uint64_t kUseTotal = ~std::uint64_t{0};
-  std::string json(std::size_t from = 0,
-                   std::uint64_t proc_cpu_ns = kUseTotal) const;
 
   void clear();
 

@@ -1,7 +1,7 @@
 // Tests for the host-axis hotspot profiler: thread-local prof:: counter
 // gating, allocation accounting, phase aggregation through TaskClock,
 // the reconciliation contract between worker CPU / busy-wall / phase
-// wall / tracer spans, and the folded-stack + JSON + table exports.
+// wall / tracer spans, and the folded-stack and table exports.
 // This binary also runs under TSan in CI as the profiler-on query.
 #include <gtest/gtest.h>
 
@@ -194,29 +194,6 @@ TEST(HostProfiler, AggregatesExactDispatchCountsAcrossPoolChunks) {
   EXPECT_LE(p.busy_wall_ns, padded(p.phase_wall_ns * (pool.size() + 1)));
 }
 
-TEST(HostProfiler, SnapshotSlicingByPhaseCountMark) {
-  obs::HostProfiler prof;
-  prof.set_enabled(true);
-  {
-    obs::PhaseClock pc(&prof, -1, "first", "map");
-    obs::TaskClock tc(pc.agg());
-  }
-  const std::size_t mark = prof.phase_count();
-  EXPECT_EQ(mark, 1u);
-  {
-    obs::PhaseClock pc(&prof, -1, "second", "reduce");
-    obs::TaskClock tc(pc.agg());
-  }
-  const auto all = prof.snapshot();
-  const auto tail = prof.snapshot(mark);
-  ASSERT_EQ(all.size(), 2u);
-  ASSERT_EQ(tail.size(), 1u);
-  EXPECT_EQ(tail[0].job, "second");
-  const std::string js = prof.json(mark);
-  EXPECT_EQ(js.find("first"), std::string::npos);
-  EXPECT_NE(js.find("second"), std::string::npos);
-}
-
 TEST(HostProfiler, ClearDropsPhasesButKeepsEnabledState) {
   obs::HostProfiler prof;
   prof.set_enabled(true);
@@ -341,20 +318,6 @@ TEST_F(ProfiledEngineRun, HotspotsTableRanksAndTotalsDispatch) {
   EXPECT_NE(table.find("count/map"), std::string::npos);
   EXPECT_NE(table.find("dispatch totals:"), std::string::npos);
   EXPECT_NE(table.find("cell_compares"), std::string::npos);
-}
-
-TEST_F(ProfiledEngineRun, JsonCarriesSchemaVersionAndCounters) {
-  const std::string js = obs_.profiler.json();
-  EXPECT_EQ(js.front(), '{');
-  EXPECT_EQ(js.back(), '}');
-  EXPECT_NE(js.find("\"schema_version\":1"), std::string::npos);
-  EXPECT_NE(js.find("\"process_cpu_ms\""), std::string::npos);
-  EXPECT_NE(js.find("\"phases\":["), std::string::npos);
-  EXPECT_NE(js.find("\"busy_wall_ms\""), std::string::npos);
-  for (int c = 0; c < prof::kNumCounters; ++c)
-    EXPECT_NE(js.find(std::string{"\""} + prof::counter_name(c) + "\""),
-              std::string::npos)
-        << prof::counter_name(c);
 }
 
 // ---- query-level process CPU bracket through the Database API ----
