@@ -60,16 +60,28 @@
 namespace ysmart::bench {
 
 /// Build identifier for the JSON header: CI's GITHUB_SHA when set, else
-/// the working tree's HEAD, else "unknown".
+/// the HEAD of the source tree the bench was built from (YSMART_SOURCE_DIR,
+/// set by bench/CMakeLists.txt), else "unknown". The working directory
+/// plays no part, so a report's bytes do not depend on where it was run.
 inline std::string git_sha() {
   if (const char* sha = std::getenv("GITHUB_SHA"); sha && *sha)
     return std::string(sha).substr(0, 12);
   std::string out;
-  if (FILE* p = ::popen("git rev-parse --short=12 HEAD 2>/dev/null", "r")) {
+#ifdef YSMART_SOURCE_DIR
+  // Single-quoted for the shell; a quote inside the path is closed,
+  // escaped and reopened.
+  std::string dir = "'";
+  for (const char c : std::string_view(YSMART_SOURCE_DIR))
+    dir += c == '\'' ? std::string("'\\''") : std::string(1, c);
+  dir += "'";
+  const std::string cmd =
+      "git -C " + dir + " rev-parse --short=12 HEAD 2>/dev/null";
+  if (FILE* p = ::popen(cmd.c_str(), "r")) {
     char buf[64];
     if (std::fgets(buf, sizeof(buf), p)) out = buf;
     ::pclose(p);
   }
+#endif
   while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
     out.pop_back();
   return out.empty() ? "unknown" : out;

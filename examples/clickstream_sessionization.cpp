@@ -35,7 +35,7 @@ int main() {
                       profile.name.c_str(), run.metrics.job_count(),
                       run.metrics.total_time_s(),
                       run.result->row_count()
-                          ? run.result->rows()[0][0].to_string().c_str()
+                          ? run.result->row(0)[0].to_string().c_str()
                           : "(empty)");
   }
 

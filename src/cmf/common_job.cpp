@@ -220,7 +220,7 @@ class SpMapper final : public Mapper {
     }
     if (sel_.empty()) return;
     if (st.sp_projections.empty()) {
-      for (auto k : sel_) out.emit(Row{}, batch.source_row(k));
+      for (auto k : sel_) out.emit(Row{}, batch.copy_row(k));
       return;
     }
     ColumnBatch selected = batch.select(sel_);

@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -35,20 +36,24 @@ double Rng::exponential(double mean) {
   return -mean * std::log(u);
 }
 
-std::int64_t Rng::zipf(std::int64_t n, double s) {
-  check(n >= 1, "Rng::zipf: n must be >= 1");
-  if (s <= 0) return uniform(1, n);
-  // Inverse-CDF over the (truncated) harmonic series; fine for the modest
-  // n the generators use.
-  double h = 0;
-  for (std::int64_t i = 1; i <= n; ++i) h += 1.0 / std::pow(double(i), s);
-  double u = uniform01() * h;
+Zipf::Zipf(std::int64_t n, double s) : n_(n) {
+  check(n >= 1, "Zipf: n must be >= 1");
+  if (s <= 0) return;
+  cdf_.reserve(static_cast<std::size_t>(n));
   double acc = 0;
   for (std::int64_t i = 1; i <= n; ++i) {
     acc += 1.0 / std::pow(double(i), s);
-    if (acc >= u) return i;
+    cdf_.push_back(acc);
   }
-  return n;
+}
+
+std::int64_t Zipf::operator()(Rng& rng) const {
+  if (cdf_.empty()) return rng.uniform(1, n_);
+  const double u = rng.uniform01() * cdf_.back();
+  // The prefix sums never decrease, so this is the first rank whose sum
+  // reaches u.
+  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+  return it == cdf_.end() ? n_ : (it - cdf_.begin()) + 1;
 }
 
 std::string Rng::ident(std::size_t len) {

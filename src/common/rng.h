@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace ysmart {
 
@@ -24,14 +25,29 @@ class Rng {
   /// Exponentially distributed with the given mean (> 0).
   double exponential(double mean);
 
-  /// Zipf-distributed rank in [1, n] with skew s (s=0 -> uniform).
-  std::int64_t zipf(std::int64_t n, double s);
-
   /// Random fixed-length lowercase identifier.
   std::string ident(std::size_t len);
 
  private:
   std::uint64_t state_;
+};
+
+/// Zipf-distributed ranks in [1, n] with skew s (s <= 0 -> uniform). The
+/// inverse CDF over the truncated harmonic series is built once: each
+/// draw is one uniform01() and a binary search for the first rank whose
+/// prefix sum reaches uniform01() * total.
+class Zipf {
+ public:
+  /// Requires n >= 1.
+  Zipf(std::int64_t n, double s);
+
+  std::int64_t operator()(Rng& rng) const;
+
+ private:
+  std::int64_t n_;
+  /// cdf_[i] = sum of 1/k^s for k = 1..i+1, summed in rank order; empty
+  /// when s <= 0.
+  std::vector<double> cdf_;
 };
 
 }  // namespace ysmart

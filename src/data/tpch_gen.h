@@ -24,7 +24,7 @@ struct TpchConfig {
   std::int64_t customers = 3000;
   std::int64_t suppliers = 200;
   std::int64_t nations = 25;
-  /// Lineitems per order are 1 + zipf(max_lineitems_per_order, skew).
+  /// Lineitems per order are 1 + a Zipf(max_lineitems_per_order, skew) draw.
   /// TPC-H orders carry 1-7 lineitems; the slightly longer skewed tail
   /// here keeps Q18's sum(l_quantity) > 300 filter selecting a rare
   /// (~0.3%) population, as it does on real TPC-H data.

@@ -1,6 +1,7 @@
 #include "exec/batch.h"
 
 #include <atomic>
+#include <cstring>
 
 #include "common/env.h"
 #include "common/error.h"
@@ -41,12 +42,25 @@ Value ColumnVector::value_at(std::size_t i) const {
   return Value::null();
 }
 
-ColumnBatch::ColumnBatch(std::span<const Row> rows) : rows_(rows) {
+ColumnBatch::ColumnBatch(const Table& table, std::size_t first,
+                         std::size_t count)
+    : source_(Source::Table),
+      table_(&table),
+      first_(first),
+      count_(count),
+      num_cols_(table.schema().size()),
+      cols_(num_cols_) {
+  check(first <= table.row_count() && count <= table.row_count() - first,
+        "ColumnBatch: row range outside the table");
+}
+
+ColumnBatch::ColumnBatch(std::span<const Row> rows)
+    : source_(Source::Rows), rows_(rows), count_(rows.size()) {
   init_shape();
 }
 
 ColumnBatch::ColumnBatch(std::span<const Row* const> rows)
-    : ptrs_(rows), by_ptr_(true) {
+    : source_(Source::RowPtrs), ptrs_(rows), count_(rows.size()) {
   init_shape();
 }
 
@@ -63,15 +77,82 @@ void ColumnBatch::init_shape() {
 
 ColumnBatch ColumnBatch::select(const std::vector<std::uint32_t>& local) const {
   ColumnBatch sub;
+  sub.source_ = source_;
   sub.rows_ = rows_;
   sub.ptrs_ = ptrs_;
-  sub.by_ptr_ = by_ptr_;
+  sub.table_ = table_;
+  sub.first_ = first_;
+  sub.count_ = count_;
   sub.has_sel_ = true;
   sub.sel_.reserve(local.size());
   for (const std::uint32_t i : local)
     sub.sel_.push_back(has_sel_ ? sel_[i] : i);
-  sub.init_shape();
+  if (source_ == Source::Table) {
+    sub.num_cols_ = num_cols_;
+    sub.cols_.resize(num_cols_);
+  } else {
+    sub.init_shape();
+  }
   return sub;
+}
+
+Row ColumnBatch::copy_row(std::size_t i) const {
+  if (source_ != Source::Table) return source_row(i);
+  return table_->row(first_ + (has_sel_ ? sel_[i] : i));
+}
+
+void ColumnBatch::build_rows() const {
+  const std::size_t n = rows();
+  built_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) built_.push_back(copy_row(i));
+}
+
+// A table column is typed already: the view points into it at the
+// batch's first row, or gathers the selected cells. Only String and Mixed
+// columns need a pointer array.
+void ColumnBatch::view_table_column(std::size_t c, ColumnVector& col) const {
+  const TableColumn& src = table_->column(c);
+  const std::size_t n = rows();
+  col.type_ = src.type();
+  col.size_ = n;
+  auto at = [&](std::size_t k) { return first_ + (has_sel_ ? sel_[k] : k); };
+  const unsigned char* nu = src.null_data();
+  if (!has_sel_) {
+    if (nu && std::memchr(nu + first_, 1, n) != nullptr) col.nulls_ = nu + first_;
+    if (col.type_ == ColType::Int64) col.ints_ = src.int_data() + first_;
+    if (col.type_ == ColType::Double) col.dbls_ = src.double_data() + first_;
+  } else {
+    if (nu) {
+      bool any = false;
+      col.own_nulls_.resize(n);
+      for (std::size_t k = 0; k < n; ++k)
+        any |= (col.own_nulls_[k] = nu[at(k)]) != 0;
+      if (any) col.nulls_ = col.own_nulls_.data();
+    }
+    if (col.type_ == ColType::Int64) {
+      col.own_ints_.resize(n);
+      for (std::size_t k = 0; k < n; ++k)
+        col.own_ints_[k] = src.int_data()[at(k)];
+      col.ints_ = col.own_ints_.data();
+    }
+    if (col.type_ == ColType::Double) {
+      col.own_dbls_.resize(n);
+      for (std::size_t k = 0; k < n; ++k)
+        col.own_dbls_[k] = src.double_data()[at(k)];
+      col.dbls_ = col.own_dbls_.data();
+    }
+  }
+  if (col.type_ == ColType::String) {
+    col.own_strs_.resize(n);
+    for (std::size_t k = 0; k < n; ++k) col.own_strs_[k] = src.str_data() + at(k);
+    col.strs_ = col.own_strs_.data();
+  }
+  if (col.type_ == ColType::Mixed) {
+    col.own_mixed_.resize(n);
+    for (std::size_t k = 0; k < n; ++k)
+      col.own_mixed_[k] = src.mixed_data() + at(k);
+    col.mixed_ = col.own_mixed_.data();
+  }
 }
 
 // Single optimistic pass per column: the first non-null cell fixes the
@@ -80,10 +161,9 @@ ColumnBatch ColumnBatch::select(const std::vector<std::uint32_t>& local) const {
 // columns measured slower, since a batch stays cache-resident between
 // walks). A conflicting cell demotes the column to Mixed and refills
 // from scratch (at most one restart, only on genuinely mixed columns).
-void ColumnBatch::pivot_one(std::size_t c) {
-  auto col = std::make_unique<ColumnVector>();
+void ColumnBatch::pivot_one(std::size_t c, ColumnVector& col) const {
   const std::size_t n = rows();
-  col->size_ = n;
+  col.size_ = n;
 
   bool any_null = false;
   std::size_t i = 0;
@@ -105,16 +185,16 @@ void ColumnBatch::pivot_one(std::size_t c) {
     case ColType::Mixed:
       break;
     case ColType::Int64:
-      col->ints_.assign(i, 0);  // placeholders for the leading NULLs
-      col->ints_.reserve(n);
+      col.own_ints_.assign(i, 0);  // placeholders for the leading NULLs
+      col.own_ints_.reserve(n);
       for (; i < n; ++i) {
         const Value& v = source_row(i)[c];
         const ValueType vt = v.type();
         if (vt == ValueType::Int) {
-          col->ints_.push_back(v.as_int());
+          col.own_ints_.push_back(v.as_int());
         } else if (vt == ValueType::Null) {
           any_null = true;
-          col->ints_.push_back(0);
+          col.own_ints_.push_back(0);
         } else {
           t = ColType::Mixed;
           break;
@@ -122,16 +202,16 @@ void ColumnBatch::pivot_one(std::size_t c) {
       }
       break;
     case ColType::Double:
-      col->dbls_.assign(i, 0.0);
-      col->dbls_.reserve(n);
+      col.own_dbls_.assign(i, 0.0);
+      col.own_dbls_.reserve(n);
       for (; i < n; ++i) {
         const Value& v = source_row(i)[c];
         const ValueType vt = v.type();
         if (vt == ValueType::Double) {
-          col->dbls_.push_back(v.as_double());
+          col.own_dbls_.push_back(v.as_double());
         } else if (vt == ValueType::Null) {
           any_null = true;
-          col->dbls_.push_back(0.0);
+          col.own_dbls_.push_back(0.0);
         } else {
           t = ColType::Mixed;
           break;
@@ -139,16 +219,16 @@ void ColumnBatch::pivot_one(std::size_t c) {
       }
       break;
     case ColType::String:
-      col->strs_.assign(i, &empty_string());
-      col->strs_.reserve(n);
+      col.own_strs_.assign(i, &empty_string());
+      col.own_strs_.reserve(n);
       for (; i < n; ++i) {
         const Value& v = source_row(i)[c];
         const ValueType vt = v.type();
         if (vt == ValueType::String) {
-          col->strs_.push_back(&v.as_string());
+          col.own_strs_.push_back(&v.as_string());
         } else if (vt == ValueType::Null) {
           any_null = true;
-          col->strs_.push_back(&empty_string());
+          col.own_strs_.push_back(&empty_string());
         } else {
           t = ColType::Mixed;
           break;
@@ -157,30 +237,41 @@ void ColumnBatch::pivot_one(std::size_t c) {
       break;
   }
   if (t == ColType::Mixed) {
-    col->ints_.clear();
-    col->dbls_.clear();
-    col->strs_.clear();
+    col.own_ints_.clear();
+    col.own_dbls_.clear();
+    col.own_strs_.clear();
     any_null = false;
-    col->mixed_.reserve(n);
+    col.own_mixed_.reserve(n);
     for (std::size_t j = 0; j < n; ++j) {
       const Value& v = source_row(j)[c];
       if (v.is_null()) any_null = true;
-      col->mixed_.push_back(&v);
+      col.own_mixed_.push_back(&v);
     }
   }
-  col->type_ = t;
+  col.type_ = t;
   if (any_null) {
-    col->nulls_.resize(n, 0);
+    col.own_nulls_.resize(n, 0);
     for (std::size_t j = 0; j < n; ++j)
-      if (source_row(j)[c].is_null()) col->nulls_[j] = 1;
+      if (source_row(j)[c].is_null()) col.own_nulls_[j] = 1;
   }
-  cols_[c] = std::move(col);
+  col.nulls_ = col.own_nulls_.empty() ? nullptr : col.own_nulls_.data();
+  col.ints_ = col.own_ints_.data();
+  col.dbls_ = col.own_dbls_.data();
+  col.strs_ = col.own_strs_.data();
+  col.mixed_ = col.own_mixed_.data();
 }
 
 const ColumnVector& ColumnBatch::column(std::size_t c) {
   check(regular_, "ColumnBatch::column on an irregular batch");
   check(c < num_cols_, "ColumnBatch::column index out of range");
-  if (!cols_[c]) pivot_one(c);
+  if (!cols_[c]) {
+    auto col = std::make_unique<ColumnVector>();
+    if (source_ == Source::Table)
+      view_table_column(c, *col);
+    else
+      pivot_one(c, *col);
+    cols_[c] = std::move(col);
+  }
   return *cols_[c];
 }
 

@@ -27,41 +27,41 @@ bool use_kernels(std::size_t rows) {
   return vectorized_enabled() && rows >= kKernelMinRows;
 }
 
-/// Batched filter+project over one input view: slice into
-/// ColumnBatch::kBatchRows chunks, run the filter kernel into a selection
-/// vector, then evaluate projections only over the selected sub-batch.
-/// Any non-vectorizable expression falls back to per-row eval for exactly
-/// the rows the batch kernel would have covered, so output and counters
-/// match the row path cell-for-cell.
-void filter_project_batched(RowView in, const BoundExpr* filter,
+/// Batched filter+project over `n` input rows, read as
+/// ColumnBatch::kBatchRows chunks through `batch_at(first, count)`: run
+/// the filter kernel into a selection vector, then evaluate projections
+/// only over the selected sub-batch. Any non-vectorizable expression
+/// falls back to per-row eval for exactly the rows the batch kernel would
+/// have covered, so output and counters match the row path cell-for-cell.
+template <class BatchAt>
+void filter_project_batched(std::size_t n, const BatchAt& batch_at,
+                            const BoundExpr* filter,
                             const std::vector<BoundExpr>& projections,
                             std::vector<Row>& out) {
   const bool have_filter = filter && filter->valid();
   std::vector<std::uint32_t> sel;
   std::vector<BatchVector> cols(projections.size());
   std::vector<char> ok(projections.size());
-  for (std::size_t base = 0; base < in.size();
-       base += ColumnBatch::kBatchRows) {
-    const std::size_t n = std::min(ColumnBatch::kBatchRows, in.size() - base);
-    const RowView chunk = in.subspan(base, n);
-    ColumnBatch batch(chunk);
+  for (std::size_t base = 0; base < n; base += ColumnBatch::kBatchRows) {
+    const std::size_t count = std::min(ColumnBatch::kBatchRows, n - base);
+    ColumnBatch batch = batch_at(base, count);
     sel.clear();
     if (have_filter) {
       BatchVector fv;
       if (eval_expr_batch(*filter, batch, fv)) {
-        collect_passing(fv, n, sel);
+        collect_passing(fv, count, sel);
       } else {
-        for (std::size_t k = 0; k < n; ++k)
-          if (is_true(filter->eval(*chunk[k])))
+        for (std::size_t k = 0; k < count; ++k)
+          if (is_true(filter->eval(batch.source_row(k))))
             sel.push_back(static_cast<std::uint32_t>(k));
       }
     } else {
-      for (std::size_t k = 0; k < n; ++k)
+      for (std::size_t k = 0; k < count; ++k)
         sel.push_back(static_cast<std::uint32_t>(k));
     }
     if (sel.empty()) continue;
     if (projections.empty()) {
-      for (auto k : sel) out.push_back(*chunk[k]);
+      for (auto k : sel) out.push_back(batch.copy_row(k));
       continue;
     }
     ColumnBatch selected = batch.select(sel);
@@ -78,27 +78,55 @@ void filter_project_batched(RowView in, const BoundExpr* filter,
   }
 }
 
+/// The row loop's body for one input row.
+void filter_project_row(const Row& r, const BoundExpr* filter,
+                        const std::vector<BoundExpr>& projections,
+                        std::vector<Row>& out) {
+  if (filter && filter->valid() && !is_true(filter->eval(r))) return;
+  if (projections.empty()) {
+    out.push_back(r);
+    return;
+  }
+  Row p;
+  p.reserve(projections.size());
+  for (const auto& e : projections) p.push_back(e.eval(r));
+  out.push_back(std::move(p));
+}
+
 }  // namespace
 
 void filter_project(RowView in, const BoundExpr* filter,
                     const std::vector<BoundExpr>& projections,
                     std::vector<Row>& out) {
   prof::count(prof::kOperatorRows, in.size());
-  if (use_kernels(in.size())) {
-    filter_project_batched(in, filter, projections, out);
+  if (!use_kernels(in.size())) {
+    for (const Row* r : in) filter_project_row(*r, filter, projections, out);
     return;
   }
-  for (const Row* r : in) {
-    if (filter && filter->valid() && !is_true(filter->eval(*r))) continue;
-    if (projections.empty()) {
-      out.push_back(*r);
-    } else {
-      Row p;
-      p.reserve(projections.size());
-      for (const auto& e : projections) p.push_back(e.eval(*r));
-      out.push_back(std::move(p));
-    }
+  filter_project_batched(
+      in.size(),
+      [&](std::size_t first, std::size_t count) {
+        return ColumnBatch(in.subspan(first, count));
+      },
+      filter, projections, out);
+}
+
+void filter_project(const Table& in, const BoundExpr* filter,
+                    const std::vector<BoundExpr>& projections,
+                    std::vector<Row>& out) {
+  const std::size_t n = in.row_count();
+  prof::count(prof::kOperatorRows, n);
+  if (!use_kernels(n)) {
+    for (std::size_t i = 0; i < n; ++i)
+      filter_project_row(in.row(i), filter, projections, out);
+    return;
   }
+  filter_project_batched(
+      n,
+      [&](std::size_t first, std::size_t count) {
+        return ColumnBatch(in, first, count);
+      },
+      filter, projections, out);
 }
 
 GroupJoinSpec::GroupJoinSpec(const PlanNode& join) : type(join.join_type) {

@@ -20,6 +20,7 @@
 
 #include "exec/expr_eval.h"
 #include "plan/plan.h"
+#include "storage/table.h"
 
 namespace ysmart {
 
@@ -41,6 +42,12 @@ inline constexpr std::size_t kKernelMinRows = 64;
 /// Scan/SP body: filter (may be null or invalid = pass-all) then project
 /// (empty projections = identity).
 void filter_project(RowView in, const BoundExpr* filter,
+                    const std::vector<BoundExpr>& projections,
+                    std::vector<Row>& out);
+/// The same over every row of a table (refdb's scan): the rows are read
+/// through ColumnBatch views (exec/batch.h), so only output rows are
+/// built. Same rows and counters as over a view of table.rows().
+void filter_project(const Table& in, const BoundExpr* filter,
                     const std::vector<BoundExpr>& projections,
                     std::vector<Row>& out);
 

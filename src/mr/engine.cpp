@@ -85,24 +85,22 @@ MapTaskResult run_map_task(const MRJobSpec& spec, const MapTaskDef& task,
   PartitioningEmitter emitter(num_partitions, spec);
   auto mapper = spec.make_mapper();
   check(mapper != nullptr, "job has no mapper");
-  const auto& rows = task.file->table->rows();
+  // The split is fed as column views over the table's row range. A
+  // batch mapper's map_batch is contractually emission-identical to
+  // per-record map(), so the shuffle (and thus the simulated metrics)
+  // cannot tell the modes apart; the row mode builds each batch's Rows.
+  const Table& table = *task.file->table;
+  const bool batches = vectorized_enabled() && mapper->supports_batches();
   const std::size_t end = task.block->first_row + task.block->row_count;
-  if (vectorized_enabled() && mapper->supports_batches()) {
-    // Feed the split as column batches; map_batch is contractually
-    // emission-identical to per-record map(), so the shuffle (and thus
-    // the simulated metrics) cannot tell the modes apart.
-    const std::span<const Row> split(rows.data() + task.block->first_row,
-                                     task.block->row_count);
-    for (std::size_t base = 0; base < split.size();
-         base += ColumnBatch::kBatchRows) {
-      const std::size_t n =
-          std::min(ColumnBatch::kBatchRows, split.size() - base);
-      ColumnBatch batch(split.subspan(base, n));
+  for (std::size_t base = task.block->first_row; base < end;
+       base += ColumnBatch::kBatchRows) {
+    ColumnBatch batch(table, base, std::min(ColumnBatch::kBatchRows, end - base));
+    if (batches) {
       mapper->map_batch(batch, task.input_tag, emitter);
+    } else {
+      for (std::size_t i = 0; i < batch.rows(); ++i)
+        mapper->map(batch.source_row(i), task.input_tag, emitter);
     }
-  } else {
-    for (std::size_t i = task.block->first_row; i < end; ++i)
-      mapper->map(rows[i], task.input_tag, emitter);
   }
   mapper->finish(emitter);
 
@@ -454,11 +452,14 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
       m.dfs_write_bytes = out->byte_size() * cfg_.replication;
       dfs_.write(spec.outputs[0].path, std::move(out));
     }
-    // Reduce output: concatenate partition tables in partition order.
+    // Reduce output: concatenate partition tables in partition order,
+    // column by column.
     for (std::size_t i = 0; i < spec.outputs.size() && !map_only; ++i) {
       auto t = std::make_shared<Table>(spec.outputs[i].schema);
-      for (auto& pr : parts)
-        for (auto& row : pr.tables[i]->mutable_rows()) t->append(std::move(row));
+      for (auto& pr : parts) {
+        t->append_rows(*pr.tables[i]);
+        pr.tables[i].reset();
+      }
       m.reduce.output_records += t->row_count();
       m.reduce.output_bytes += t->byte_size();
       m.dfs_write_bytes += t->byte_size() * cfg_.replication;

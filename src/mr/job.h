@@ -69,9 +69,11 @@ class Mapper {
   /// optimization noted in the paper's footnote 2) flush their output.
   virtual void finish(MapEmitter& /*out*/) {}
 
-  /// Mappers that implement map_batch() return true here; the engine then
-  /// feeds the split as ColumnBatch chunks (when YSMART_VECTORIZED is on)
-  /// instead of one map() call per record.
+  /// Mappers that implement map_batch() return true here. The engine
+  /// reads every split as ColumnBatch views over the input table's row
+  /// range; it passes them to map_batch() when this is true (and
+  /// YSMART_VECTORIZED is on), and otherwise calls map() once per record
+  /// on the Rows each view builds (ColumnBatch::source_row).
   virtual bool supports_batches() const { return false; }
 
   /// Process one batch. Must emit exactly what per-record map() calls

@@ -29,8 +29,7 @@ std::vector<Row> run(const PlanPtr& node, const TableSource& tables,
           t->schema().qualified(node->alias.empty() ? node->table : node->alias);
       BoundExpr filter;
       if (node->filter) filter = BoundExpr(node->filter, qualified);
-      filter_project(view_of(t->rows()), &filter,
-                     bind_all(node->projections, qualified), out);
+      filter_project(*t, &filter, bind_all(node->projections, qualified), out);
       return out;
     }
     case PlanKind::SP: {

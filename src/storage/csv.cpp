@@ -124,6 +124,7 @@ std::shared_ptr<Table> read_csv(std::istream& in, const Schema& schema,
   auto t = std::make_shared<Table>(schema);
   std::vector<std::string> fields;
   std::vector<bool> quoted;
+  Row cells;  // one record's cells, reused across records
   if (opts.header) {
     if (!read_record(in, opts.separator, fields, quoted))
       return t;  // empty file
@@ -139,11 +140,10 @@ std::shared_ptr<Table> read_csv(std::istream& in, const Schema& schema,
     if (fields.size() != schema.size())
       throw ExecError(strf("csv: line %zu has %zu fields, expected %zu",
                            line_no, fields.size(), schema.size()));
-    Row row;
-    row.reserve(schema.size());
+    cells.clear();
     for (std::size_t i = 0; i < fields.size(); ++i)
-      row.push_back(parse_value(fields[i], quoted[i], schema.at(i).type));
-    t->append(std::move(row));
+      cells.push_back(parse_value(fields[i], quoted[i], schema.at(i).type));
+    t->append(cells);
   }
   return t;
 }
@@ -196,12 +196,12 @@ std::shared_ptr<Table> read_csv_infer(std::istream& in,
   }
 
   auto t = std::make_shared<Table>(schema);
+  Row cells;  // one record's cells, reused across records
   for (std::size_t r = 0; r < raw.size(); ++r) {
-    Row row;
-    row.reserve(width);
+    cells.clear();
     for (std::size_t c = 0; c < width; ++c)
-      row.push_back(parse_value(raw[r][c], raw_quoted[r][c], schema.at(c).type));
-    t->append(std::move(row));
+      cells.push_back(parse_value(raw[r][c], raw_quoted[r][c], schema.at(c).type));
+    t->append(cells);
   }
   return t;
 }
@@ -229,13 +229,14 @@ void write_csv(const Table& t, std::ostream& out, const CsvOptions& opts) {
     }
     out << '\n';
   }
-  for (const auto& r : t.rows()) {
-    for (std::size_t i = 0; i < r.size(); ++i) {
+  for (std::size_t r = 0; r < t.row_count(); ++r) {
+    for (std::size_t i = 0; i < t.schema().size(); ++i) {
       if (i) out << opts.separator;
-      if (r[i].is_null()) continue;  // NULL = empty field
+      const Value v = t.column(i).value_at(r);
+      if (v.is_null()) continue;  // NULL = empty field
       // Quote empty strings so they round-trip as non-NULL.
-      emit_field(r[i].to_string(),
-                 r[i].type() == ValueType::String && r[i].as_string().empty());
+      emit_field(v.to_string(),
+                 v.type() == ValueType::String && v.as_string().empty());
     }
     out << '\n';
   }

@@ -1,12 +1,14 @@
 // Dfs: the simulated distributed file system (HDFS stand-in).
 //
 // Files hold a Table plus a block map: the rows are partitioned into
-// fixed-size blocks, each placed on `replication` simulated nodes. The
-// MapReduce engine derives one map task per block and uses the placement
-// to decide whether a read is node-local (disk bandwidth) or remote
-// (network bandwidth). Writes to the DFS cost one local write plus
-// (replication - 1) network copies, which is exactly the materialization
-// penalty YSmart's job merging removes.
+// blocks of about block_bytes each (cut from per-row sizes computed from
+// the table's columns), each a row range of every column placed on
+// `replication` simulated nodes. The MapReduce engine derives one map
+// task per block and uses the placement to decide whether a read is
+// node-local (disk bandwidth) or remote (network bandwidth). Writes to
+// the DFS cost one local write plus (replication - 1) network copies,
+// which is exactly the materialization penalty YSmart's job merging
+// removes.
 #pragma once
 
 #include <cstdint>

@@ -19,11 +19,11 @@ std::shared_ptr<Table> random_fact(std::uint64_t seed, int rows) {
   s.add("b", ValueType::Int);
   auto t = std::make_shared<Table>(s);
   Rng rng(seed);
+  const Zipf key(20, 1.0);
   for (int i = 0; i < rows; ++i) {
     // Skewed keys, occasional NULLs in every column.
     Row r;
-    r.push_back(rng.uniform01() < 0.05 ? Value::null()
-                                       : Value{rng.zipf(20, 1.0)});
+    r.push_back(rng.uniform01() < 0.05 ? Value::null() : Value{key(rng)});
     r.push_back(rng.uniform01() < 0.05 ? Value::null()
                                        : Value{rng.uniform(-50, 50)});
     r.push_back(rng.uniform01() < 0.05 ? Value::null()
@@ -40,13 +40,14 @@ std::shared_ptr<Table> random_dim(std::uint64_t seed, int rows) {
   s.add("name", ValueType::String);
   auto t = std::make_shared<Table>(s);
   Rng rng(seed * 31 + 7);
+  const Zipf cat(6, 0.7);
   for (int i = 0; i < rows; ++i) {
     t->append({rng.uniform01() < 0.05 ? Value::null()
                                       : Value{rng.uniform(1, 25)},
                Value{rng.uniform(0, 5)},
                rng.uniform01() < 0.08
                    ? Value::null()
-                   : Value{"cat" + std::to_string(rng.zipf(6, 0.7))}});
+                   : Value{"cat" + std::to_string(cat(rng))}});
   }
   return t;
 }

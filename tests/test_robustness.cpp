@@ -286,11 +286,12 @@ TEST(PoolInvariance, ResultsAndSimulatedSecondsIdenticalAcrossPoolSizes) {
     EXPECT_EQ(m1.reduce.output_records, other->reduce.output_records);
   }
   // Identical rows in identical order (not just as a multiset).
+  const std::vector<Row> rows1 = t1->rows();
   for (const auto* t : {&tn, &t1o, &tno, &t1p, &tnp}) {
     ASSERT_EQ(t1->row_count(), (*t)->row_count());
-    for (std::size_t i = 0; i < t1->rows().size(); ++i)
-      EXPECT_EQ(compare_rows(t1->rows()[i], (*t)->rows()[i]),
-                std::strong_ordering::equal);
+    const std::vector<Row> rows = (*t)->rows();
+    for (std::size_t i = 0; i < rows1.size(); ++i)
+      EXPECT_EQ(compare_rows(rows1[i], rows[i]), std::strong_ordering::equal);
   }
   // The simulated-axis trace is itself pool-size invariant, byte for
   // byte; only the wall axis may differ.
@@ -607,9 +608,10 @@ TEST(VectorizedModes, SimulationIsBitIdenticalOnOffAcrossPoolSizes) {
       ASSERT_NE(base.run.result, nullptr);
       ASSERT_NE(o.run.result, nullptr);
       ASSERT_EQ(base.run.result->row_count(), o.run.result->row_count());
-      for (std::size_t i = 0; i < base.run.result->rows().size(); ++i)
-        EXPECT_EQ(compare_rows(base.run.result->rows()[i],
-                               o.run.result->rows()[i]),
+      const std::vector<Row> base_rows = base.run.result->rows();
+      const std::vector<Row> rows = o.run.result->rows();
+      for (std::size_t i = 0; i < base_rows.size(); ++i)
+        EXPECT_EQ(compare_rows(base_rows[i], rows[i]),
                   std::strong_ordering::equal);
       // Analyzer JSON and the sim-axis event journal, byte for byte.
       EXPECT_EQ(base.analyzer, o.analyzer);

@@ -222,11 +222,12 @@ TEST(Shuffle, SortPinOnMergedCmfJobMapOutput) {
     std::vector<KeyValue> out;
   };
   std::vector<std::vector<KeyValue>> tasks;
+  const std::vector<Row> rows = t->rows();
   for (std::size_t half = 0; half < 2; ++half) {
     Collector collector;
     auto mapper = spec.make_mapper();
     for (std::size_t i = half * 30; i < half * 30 + 30; ++i)
-      mapper->map(t->rows()[i], 0, collector);
+      mapper->map(rows[i], 0, collector);
     mapper->finish(collector);
     ASSERT_FALSE(collector.out.empty());
     tasks.push_back(std::move(collector.out));

@@ -118,11 +118,12 @@ TEST(Rng, ExponentialRejectsNonPositiveMean) {
   EXPECT_THROW(r.exponential(0), InternalError);
 }
 
-TEST(Rng, ZipfSkewFavorsLowRanks) {
+TEST(Zipf, SkewFavorsLowRanks) {
   Rng r(17);
+  const Zipf zipf(10, 1.2);
   int ones = 0, tens = 0;
   for (int i = 0; i < 5000; ++i) {
-    const auto v = r.zipf(10, 1.2);
+    const auto v = zipf(r);
     EXPECT_GE(v, 1);
     EXPECT_LE(v, 10);
     if (v == 1) ++ones;
@@ -131,12 +132,55 @@ TEST(Rng, ZipfSkewFavorsLowRanks) {
   EXPECT_GT(ones, tens * 3);
 }
 
-TEST(Rng, ZipfZeroSkewIsUniformish) {
+TEST(Zipf, ZeroSkewIsUniformish) {
   Rng r(19);
+  const Zipf zipf(4, 0);
   int low = 0;
   for (int i = 0; i < 4000; ++i)
-    if (r.zipf(4, 0) <= 2) ++low;
+    if (zipf(r) <= 2) ++low;
   EXPECT_NEAR(low / 4000.0, 0.5, 0.06);
+}
+
+TEST(Zipf, RejectsEmptyRange) {
+  EXPECT_THROW(Zipf(0, 1.0), InternalError);
+}
+
+// The inverse-CDF draw as it was computed per call before the CDF was
+// built once: the harmonic total, then a scan of the running sum.
+std::int64_t zipf_per_draw(Rng& rng, std::int64_t n, double s) {
+  if (s <= 0) return rng.uniform(1, n);
+  double h = 0;
+  for (std::int64_t i = 1; i <= n; ++i) h += 1.0 / std::pow(double(i), s);
+  double u = rng.uniform01() * h;
+  double acc = 0;
+  for (std::int64_t i = 1; i <= n; ++i) {
+    acc += 1.0 / std::pow(double(i), s);
+    if (acc >= u) return i;
+  }
+  return n;
+}
+
+// Every draw equals the per-draw formula's, and both consume the same
+// generator state, over 1M draws per (n, s) spread across four seeds.
+TEST(Zipf, DrawsEqualThePerDrawFormula) {
+  const struct {
+    std::int64_t n;
+    double s;
+  } cases[] = {{20, 0.8}, {1, 0.8}, {7, 1.3}, {100, 0.5},
+               {9, 0.9},  {5, 0.0}, {5, -1.0}};
+  constexpr int kSeeds = 4;
+  constexpr int kDrawsPerSeed = 250000;
+  for (const auto& c : cases) {
+    const Zipf zipf(c.n, c.s);
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+      Rng a(seed * 7919), b(seed * 7919);
+      int mismatches = 0;
+      for (int i = 0; i < kDrawsPerSeed; ++i)
+        if (zipf(a) != zipf_per_draw(b, c.n, c.s)) ++mismatches;
+      EXPECT_EQ(mismatches, 0) << "n=" << c.n << " s=" << c.s << " seed=" << seed;
+      EXPECT_EQ(a.next(), b.next()) << "n=" << c.n << " s=" << c.s;
+    }
+  }
 }
 
 TEST(Rng, IdentLengthAndAlphabet) {
