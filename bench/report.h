@@ -1,5 +1,5 @@
 // Machine-readable bench output: --json, --trace, --analyze, --cluster,
-// --explain, --folded and --progress.
+// --explain and --folded.
 //
 // Every figure bench accepts
 //
@@ -24,18 +24,15 @@
 // per run with the full per-node rollup, shuffle traffic matrix and
 // slot-occupancy timeline (obs/cluster_view.h); when --trace is also
 // given, the per-node tracks appear in the Chrome trace as pid 3.
-// --explain <path> attaches the context with the plan view enabled: each
-// run records a translate-time prediction, joins it against actuals
-// after execution, embeds the compact predicted-vs-actual report in each
-// --json record under "plan", and writes the standalone plan document
-// (schema: bench/plan_schema.json) with the full reports and the
-// session's q-error calibration ring.
+// --explain <path> attaches the context too and takes each run's plan
+// view from its history record (obs/history.h): the compact
+// predicted-vs-actual report goes into the --json record under "plan",
+// and the full one into the standalone plan document (schema:
+// bench/plan_schema.json). A run that stopped before its last predicted
+// job has no plan view, so it gets neither.
 // --folded <path> turns the host profiler on and writes the whole bench's
 // folded-stack flamegraph (pipe through flamegraph.pl); host numbers go
 // nowhere else.
-// --progress (no value) prints live per-job completion lines on
-// stderr while runs execute; it only reads the progress tracker, so the
-// --json report is identical with or without it.
 // Without flags no observer is attached and nothing is written.
 #pragma once
 
@@ -123,25 +120,7 @@ class Report {
       if (std::strcmp(argv[i], "--folded") == 0) folded_path_ = argv[i + 1];
       if (std::strcmp(argv[i], "--explain") == 0) explain_path_ = argv[i + 1];
     }
-    if (!explain_path_.empty()) obs_.plans.set_enabled(true);
     if (profiling()) obs_.profiler.set_enabled(true);
-    // --progress takes no value, so scan the full argv separately.
-    for (int i = 1; i < argc; ++i)
-      if (std::strcmp(argv[i], "--progress") == 0) progress_ = true;
-    if (progress_)
-      obs_.progress.set_callback([this](const obs::ProgressSnapshot& s) {
-        // Print one line per completed job (and the final query line);
-        // task-level updates would flood the terminal. jobs_done and
-        // tasks_done only grow within a query, so the output is
-        // monotonic by construction.
-        if (s.jobs_done == last_jobs_printed_ && s.active) return;
-        last_jobs_printed_ = s.active ? s.jobs_done : 0;
-        std::fprintf(stderr,
-                     "progress: [%s] wave %d  jobs %zu/%zu  tasks %zu/%zu%s\n",
-                     s.profile.c_str(), s.current_wave, s.jobs_done,
-                     s.total_jobs, s.tasks_done(), s.tasks_total(),
-                     s.active ? "" : "  done");
-      });
   }
 
   Report(const Report&) = delete;
@@ -154,12 +133,11 @@ class Report {
   bool clustering() const { return !cluster_path_.empty(); }
   bool explaining() const { return !explain_path_.empty(); }
   bool profiling() const { return !folded_path_.empty(); }
-  bool progress() const { return progress_; }
   /// The observability context runs attach, or null when neither tracing,
-  /// analyzing, clustering, explaining, profiling nor printing progress.
+  /// analyzing, clustering, explaining nor profiling.
   obs::ObsContext* obs() {
     return tracing() || analyzing() || clustering() || explaining() ||
-                   profiling() || progress_
+                   profiling()
                ? &obs_
                : nullptr;
   }
@@ -189,18 +167,11 @@ class Report {
           trace_extra_events_.push_back(std::move(ev));
       }
     }
-    if (explaining()) {
-      // The store keeps only its last few reports, so count joins by the
-      // calibration ring's running total, which eviction never lowers.
-      const std::uint64_t joined = obs_.plans.calibration().total_recorded;
-      obs::PlanReport rep;
-      // A new join means the run just recorded produced the store's most
-      // recent report.
-      if (joined > plans_joined_ && obs_.plans.last_report(&rep)) {
-        r.plan_json_full = rep.json(/*full=*/true);
-        r.plan_json_compact = rep.json(/*full=*/false);
-      }
-      plans_joined_ = joined;
+    // The run just recorded is the flight recorder's latest query.
+    obs::QueryHistoryRecord h;
+    if (explaining() && obs_.history.at(0, &h) && h.plan) {
+      r.plan_json_full = h.plan->json(/*full=*/true);
+      r.plan_json_compact = h.plan->json(/*full=*/false);
     }
     records_.push_back(std::move(r));
   }
@@ -239,8 +210,7 @@ class Report {
   }
 
   /// The standalone plan-axis document (bench/plan_schema.json): one
-  /// entry per recorded run with the full predicted-vs-actual report,
-  /// plus the session-wide q-error calibration ring.
+  /// entry per recorded run with the full predicted-vs-actual report.
   std::string plans_json() const {
     JsonWriter w;
     w.begin_object();
@@ -257,7 +227,6 @@ class Report {
       w.end_object();
     }
     w.end_array();
-    w.key("calibration").raw(calibration_json());
     w.end_object();
     return w.take();
   }
@@ -381,10 +350,6 @@ class Report {
     std::string plan_json_compact;  // embedded under the record's "plan"
   };
 
-  std::string calibration_json() const {
-    return obs::calibration_json(obs_.plans.calibration());
-  }
-
   static bool write_file(const std::string& path, const std::string& body) {
     return write_text_file(path, body);
   }
@@ -396,10 +361,7 @@ class Report {
   std::string cluster_path_;
   std::string folded_path_;
   std::string explain_path_;
-  std::uint64_t plans_joined_ = 0;
   std::vector<std::string> trace_extra_events_;
-  bool progress_ = false;
-  std::size_t last_jobs_printed_ = 0;
   std::vector<Record> records_;
   obs::ObsContext obs_;
 };

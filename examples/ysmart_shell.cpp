@@ -5,10 +5,7 @@
 //   ysmart> SELECT cid, count(*) AS n FROM clicks GROUP BY cid HAVING n > 100;
 //   ysmart> \explain SELECT ... ;      (plan view: run + predicted-vs-actual
 //                                        per-job EXPLAIN ANALYZE tree)
-//   ysmart> \explain                    (re-print the last plan report)
-//   ysmart> \whatif SELECT ... ;        (translate + run under the current
-//                                        profile AND the hive-style baseline,
-//                                        compare predictions and actuals)
+//   ysmart> \explain                    (re-print the last query's plan view)
 //   ysmart> \dot SELECT ... ;          (Graphviz job DAG on stdout)
 //   ysmart> \profile hive               (switch translator)
 //   ysmart> \profile on                 (per-query span tree)
@@ -20,7 +17,6 @@
 //                                        the last sampled run)
 //   ysmart> \history [k]               (flight recorder: last k queries)
 //   ysmart> \last [i]                   (re-print the i-th last analyze tree)
-//   ysmart> \top                        (progress/ETA state of the last run)
 //   ysmart> \hotspots                   (host CPU/alloc table of last run)
 //   ysmart> \flame /tmp/q.folded        (folded stacks for flamegraph.pl)
 //   ysmart> \load mytable /path/data.csv   (schema inferred)
@@ -30,10 +26,8 @@
 //
 // Environment: YSMART_TRACE=<file> records the whole session and writes
 // a Chrome trace on exit; YSMART_EVENTS=<file> streams the structured
-// event journal (JSONL) as it happens; YSMART_HISTORY=<n> resizes the
-// flight recorder's retention ring (default 32). The host-axis profiler
-// is always on; it only feeds \hotspots and \flame, never simulated
-// results.
+// event journal (JSONL) as it happens. The host-axis profiler is always
+// on; it only feeds \hotspots and \flame, never simulated results.
 //
 // Also reads one-shot queries from the command line:
 //   $ ./build/examples/ysmart_shell "SELECT count(*) AS n FROM lineitem"
@@ -51,7 +45,6 @@
 #include "obs/analyzer.h"
 #include "obs/cluster_view.h"
 #include "obs/obs.h"
-#include "obs/plan_view.h"
 #include "storage/csv.h"
 
 namespace {
@@ -110,34 +103,6 @@ void run_sql(Database& db, const TranslatorProfile& profile,
   }
 }
 
-/// Run `sql` with the plan view recording and return the joined
-/// predicted-vs-actual report. Attaches the observer and enables the
-/// plan store for the duration, restoring both afterwards.
-bool run_with_plan(Database& db, const TranslatorProfile& prof,
-                   const std::string& sql, ShellObs& sobs,
-                   obs::PlanReport* out) {
-  const bool had_obs = db.observer() != nullptr;
-  const bool had_plans = sobs.ctx.plans.enabled();
-  if (!had_obs) db.set_observer(&sobs.ctx);
-  sobs.ctx.plans.set_enabled(true);
-  bool ok = false;
-  try {
-    auto run = db.run(sql, prof);
-    sobs.last_metrics = run.metrics;
-    if (run.metrics.failed())
-      std::cout << strf("query DNF after %d job(s): %s\n",
-                        run.metrics.job_count(),
-                        run.metrics.fail_reason().c_str());
-    else
-      ok = sobs.ctx.plans.last_report(out);
-  } catch (const Error& e) {
-    std::cout << e.what() << "\n";
-  }
-  sobs.ctx.plans.set_enabled(had_plans);
-  if (!had_obs) db.set_observer(nullptr);
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -164,8 +129,6 @@ int main(int argc, char** argv) {
   sobs.ctx.profiler.set_enabled(true);
   const auto trace_env = env_nonempty("YSMART_TRACE");
   const auto events_env = env_nonempty("YSMART_EVENTS");
-  if (const auto cap = env_positive_int("YSMART_HISTORY"))
-    sobs.ctx.history.set_capacity(static_cast<std::size_t>(*cap));
   const bool env_obs = trace_env || events_env;
   if (env_obs) {
     sobs.session_trace = trace_env.has_value();
@@ -190,11 +153,10 @@ int main(int argc, char** argv) {
 
   std::cout << "ysmart interactive shell - tables: ";
   for (const auto& t : db.catalog().table_names()) std::cout << t << " ";
-  std::cout << "\ncommands: \\explain [sql]  \\whatif <sql>  \\analyze "
-               "[sql]  \\cluster "
+  std::cout << "\ncommands: \\explain [sql]  \\analyze [sql]  \\cluster "
                "[sql]  \\profile "
                "<ysmart|hive|pig|mrshare|hand|on|off>  \\trace <file>  "
-               "\\history [k]  \\last [i]  \\top  \\hotspots  "
+               "\\history [k]  \\last [i]  \\hotspots  "
                "\\flame <file>  \\tables  \\quit\n";
 
   std::string line;
@@ -271,10 +233,6 @@ int main(int argc, char** argv) {
         }
         continue;
       }
-      if (cmd == "top") {
-        std::cout << sobs.ctx.progress.snapshot().render();
-        continue;
-      }
       if (cmd == "hotspots") {
         if (sobs.ctx.profiler.phase_count() == 0)
           std::cout << "no host phases recorded yet - \\profile on and run "
@@ -297,20 +255,29 @@ int main(int argc, char** argv) {
                            sobs.ctx.profiler.folded_stacks(sobs.ctx.tracer));
         continue;
       }
-      if (cmd == "analyze" || cmd == "cluster") {
+      if (cmd == "analyze" || cmd == "cluster" || cmd == "explain") {
         std::string rest;
         std::getline(iss, rest);
         const auto c = rest.find_first_not_of(" \t");
         rest = c == std::string::npos ? std::string() : rest.substr(c);
         if (!rest.empty()) {
           // Run with the observer attached for the duration so samples
-          // are retained even when profiling is off.
+          // and the plan view are retained even when profiling is off.
           const bool had_obs = db.observer() != nullptr;
           if (!had_obs) db.set_observer(&sobs.ctx);
           run_sql(db, profile, rest, sobs);
           if (!had_obs) db.set_observer(nullptr);
         }
-        if (sobs.ctx.samples.query_count() == 0) {
+        obs::QueryHistoryRecord last;
+        if (cmd == "explain") {
+          // The plan view is empty when the query stopped before its last
+          // predicted job.
+          if (sobs.ctx.history.at(0, &last) && last.plan)
+            std::cout << last.plan->text();
+          else
+            std::cout << "no plan view for the last observed query - "
+                         "\\explain <sql>\n";
+        } else if (sobs.ctx.samples.query_count() == 0) {
           std::cout << "nothing sampled yet - \\" << cmd
                     << " <sql>, or \\profile on and run a query\n";
         } else if (cmd == "cluster") {
@@ -319,44 +286,6 @@ int main(int argc, char** argv) {
         } else {
           std::cout << obs::analyze_query(sobs.ctx.samples.last_query()).text();
         }
-        continue;
-      }
-      if (cmd == "explain") {
-        std::string rest;
-        std::getline(iss, rest);
-        const auto c = rest.find_first_not_of(" \t");
-        rest = c == std::string::npos ? std::string() : rest.substr(c);
-        obs::PlanReport rep;
-        if (rest.empty()) {
-          if (sobs.ctx.plans.last_report(&rep))
-            std::cout << rep.text();
-          else
-            std::cout << "no plan recorded yet - \\explain <sql>\n";
-        } else if (run_with_plan(db, profile, rest, sobs, &rep)) {
-          std::cout << rep.text();
-        }
-        continue;
-      }
-      if (cmd == "whatif") {
-        std::string rest;
-        std::getline(iss, rest);
-        const auto c = rest.find_first_not_of(" \t");
-        rest = c == std::string::npos ? std::string() : rest.substr(c);
-        if (rest.empty()) {
-          std::cout << "usage: \\whatif <sql>  (run under the current "
-                       "profile and the one-op-one-job baseline, compare)\n";
-          continue;
-        }
-        // Merged strategy = the current profile; baseline = the
-        // one-operation-to-one-job translation (ysmart when the current
-        // profile already *is* a baseline-style one).
-        const TranslatorProfile baseline_profile =
-            profile.correlation_aware ? TranslatorProfile::hive()
-                                      : TranslatorProfile::ysmart();
-        obs::PlanReport merged, baseline;
-        if (run_with_plan(db, profile, rest, sobs, &merged) &&
-            run_with_plan(db, baseline_profile, rest, sobs, &baseline))
-          std::cout << obs::render_whatif(merged, baseline);
         continue;
       }
       if (cmd == "dot") {

@@ -50,10 +50,7 @@ TranslatedQuery Database::translate_query(const std::string& sql,
       "/scratch/" + profile.name + "/run" + std::to_string(run_counter_++);
   TranslatedQuery q = translate(p, profile, scratch, &stats_, obs_);
   obs::observe_translation(obs_, translate_phase.id(), profile.name,
-                           q.jobs.size(), [&] {
-                             return obs::predict_query(q, profile, stats_, dfs_,
-                                                       engine_->cluster(), sql);
-                           });
+                           q.jobs.size());
   return q;
 }
 
@@ -80,6 +77,9 @@ QueryRunResult Database::run(const std::string& sql,
   try {
     const TranslatedQuery q = translate_query(sql, profile);
     rec.jobs = q.jobs.size();
+    if (obs_)
+      rec.prediction = obs::predict_query(q, profile, stats_, dfs_,
+                                          engine_->cluster(), sql);
     obs::observe(obs_, obs::QueryPoint::Translated, rec);
     r = run_translated(q, *engine_, profile);
   } catch (const std::exception& e) {

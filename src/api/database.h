@@ -74,9 +74,9 @@ class Database {
   void reconfigure_cluster(ClusterConfig cfg);
 
   /// Attach (or detach with null) an observability context, non-owning.
-  /// While attached, run()/translate_query() record spans and counters
-  /// into it; detached (the default) everything is skipped. Observation
-  /// never alters results or simulated metrics.
+  /// While attached, run()/translate_query() record spans, counters and
+  /// run()'s plan prediction into it; detached (the default) everything
+  /// is skipped. Observation never alters results or simulated metrics.
   void set_observer(obs::ObsContext* obs);
   obs::ObsContext* observer() const { return obs_; }
 

@@ -8,8 +8,22 @@
 
 namespace ysmart::obs {
 
-PhaseSkewStats phase_stats(const std::vector<TaskSample>& tasks,
-                           const AnalyzerOptions& opts) {
+namespace {
+
+constexpr double kStragglerThreshold = 2.0;  // task > threshold * median
+constexpr std::size_t kTopPartitions = 3;    // heaviest reduce partitions
+constexpr std::size_t kTopKeys = 3;          // hot keys reported per job
+/// A hot key enters the diagnosis when it carries at least this share of
+/// its job's reduce records (and more than one key group exists).
+constexpr double kHotKeyMinShare = 0.10;
+/// A partition enters the diagnosis when it holds at least this share of
+/// its job's shuffle bytes and at least twice the fair share.
+constexpr double kPartitionMinShare = 0.25;
+
+/// Distribution of one phase's per-task sim seconds; `stragglers` lists
+/// the tasks above kStragglerThreshold x the lower median (phases of at
+/// least two tasks).
+PhaseSkewStats phase_stats(const std::vector<TaskSample>& tasks) {
   PhaseSkewStats st;
   st.tasks = tasks.size();
   if (tasks.empty()) return st;
@@ -30,12 +44,10 @@ PhaseSkewStats phase_stats(const std::vector<TaskSample>& tasks,
   st.cv = st.mean_s > 0 ? std::sqrt(var) / st.mean_s : 0.0;
   if (times.size() >= 2 && st.median_s > 0)
     for (std::size_t i = 0; i < times.size(); ++i)
-      if (times[i] > opts.straggler_threshold * st.median_s)
+      if (times[i] > kStragglerThreshold * st.median_s)
         st.stragglers.push_back(static_cast<int>(i));
   return st;
 }
-
-namespace {
 
 std::string render_key(const JobAnalysis& job, const std::string& key) {
   if (job.key_columns.empty()) return key;
@@ -65,8 +77,7 @@ void phase_json(JsonWriter& w, const PhaseSkewStats& st) {
 
 }  // namespace
 
-AnalyzerReport analyze_query(const QueryTaskSamples& query,
-                             const AnalyzerOptions& opts) {
+AnalyzerReport analyze_query(const QueryTaskSamples& query) {
   AnalyzerReport rep;
 
   // ---- per-job statistics ----
@@ -82,8 +93,8 @@ AnalyzerReport analyze_query(const QueryTaskSamples& query,
     ja.total_s = js.total_time_s();
     ja.target_reduce_tasks = js.target_reduce_tasks;
     ja.key_columns = js.key_columns;
-    ja.map = phase_stats(js.map_tasks, opts);
-    ja.reduce = phase_stats(js.reduce_tasks, opts);
+    ja.map = phase_stats(js.map_tasks);
+    ja.reduce = phase_stats(js.reduce_tasks);
 
     std::uint64_t job_shuffle = 0;
     for (const auto& t : js.reduce_tasks) {
@@ -103,9 +114,7 @@ AnalyzerReport analyze_query(const QueryTaskSamples& query,
                      [](const TaskSample* a, const TaskSample* b) {
                        return a->shuffle_bytes_raw > b->shuffle_bytes_raw;
                      });
-    const std::size_t k =
-        std::min(parts.size(), static_cast<std::size_t>(
-                                   std::max(0, opts.top_partitions)));
+    const std::size_t k = std::min(parts.size(), kTopPartitions);
     for (std::size_t i = 0; i < k; ++i) {
       const TaskSample& t = *parts[i];
       HeavyPartition hp;
@@ -121,8 +130,7 @@ AnalyzerReport analyze_query(const QueryTaskSamples& query,
       hp.tag_records = t.tag_records;
       ja.top_partitions.push_back(std::move(hp));
     }
-    ja.hot_keys = js.hot_keys.top(
-        static_cast<std::size_t>(std::max(0, opts.top_keys)));
+    ja.hot_keys = js.hot_keys.top(kTopKeys);
     rep.jobs.push_back(std::move(ja));
   }
 
@@ -184,7 +192,7 @@ AnalyzerReport analyze_query(const QueryTaskSamples& query,
     const double fair = ja.reduce.tasks > 0
                             ? 1.0 / static_cast<double>(ja.reduce.tasks)
                             : 0.0;
-    if (ja.reduce.tasks >= 2 && hp.shuffle_share >= opts.partition_min_share &&
+    if (ja.reduce.tasks >= 2 && hp.shuffle_share >= kPartitionMinShare &&
         hp.shuffle_share >= 2.0 * fair)
       rep.diagnosis.push_back(strf(
           "job %s: partition %d holds %.0f%% of shuffle bytes (%s, %llu key "
@@ -201,7 +209,7 @@ AnalyzerReport analyze_query(const QueryTaskSamples& query,
     const SpaceSaving::Entry& top = ja.hot_keys.front();
     const double share = static_cast<double>(top.count) /
                          static_cast<double>(ja.reduce_records);
-    if (share >= opts.hot_key_min_share && groups != 1)
+    if (share >= kHotKeyMinShare && groups != 1)
       rep.diagnosis.push_back(
           strf("job %s: hot key '%s' carries ~%.0f%% of reduce records "
                "(%llu of %llu)",

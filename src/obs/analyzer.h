@@ -13,8 +13,8 @@
 //                  no averaging of middle elements).
 //  * cv          — coefficient of variation: population stddev / mean
 //                  (0 when mean is 0).
-//  * straggler   — a task with sim_seconds > threshold × median (default
-//                  threshold 2.0) in a phase with at least 2 tasks.
+//  * straggler   — a task with sim_seconds > 2 × median in a phase with
+//                  at least 2 tasks.
 //  * critical path — jobs group into dependency waves (the DAG
 //                  executor's submission waves); a wave's elapsed time
 //                  is the executor's own record of it (obs/task_samples.h)
@@ -42,18 +42,6 @@ class JsonWriter;
 
 namespace ysmart::obs {
 
-struct AnalyzerOptions {
-  double straggler_threshold = 2.0;  // task > threshold * phase median
-  int top_partitions = 3;            // heaviest reduce partitions reported
-  int top_keys = 3;                  // hot keys reported per job
-  /// A hot key enters the diagnosis when it carries at least this share
-  /// of its job's reduce records (and more than one key group exists).
-  double hot_key_min_share = 0.10;
-  /// A partition enters the diagnosis when it holds at least this share
-  /// of its job's shuffle bytes and at least twice the fair share.
-  double partition_min_share = 0.25;
-};
-
 /// Distribution statistics of one phase's per-task simulated seconds.
 struct PhaseSkewStats {
   std::size_t tasks = 0;
@@ -62,7 +50,7 @@ struct PhaseSkewStats {
   double median_s = 0;
   double mean_s = 0;
   double cv = 0;                 // population stddev / mean
-  std::vector<int> stragglers;   // sample indices > threshold * median
+  std::vector<int> stragglers;   // sample indices > 2 * median
 };
 
 /// One of the heaviest reduce partitions of a job.
@@ -126,17 +114,9 @@ struct AnalyzerReport {
   std::string json() const;
 };
 
-/// Distribution of one phase's per-task sim seconds; `stragglers` lists
-/// the tasks above opts.straggler_threshold x the lower median (phases of
-/// at least two tasks). The progress tracker's live straggler counts
-/// apply the same rule.
-PhaseSkewStats phase_stats(const std::vector<TaskSample>& tasks,
-                           const AnalyzerOptions& opts = {});
-
 /// Analyze one query's samples. Jobs with wave -1 (standalone engine
 /// runs) are treated as serial: each forms its own wave in order. Throws
 /// InternalError when a job names a wave that has no record.
-AnalyzerReport analyze_query(const QueryTaskSamples& query,
-                             const AnalyzerOptions& opts = {});
+AnalyzerReport analyze_query(const QueryTaskSamples& query);
 
 }  // namespace ysmart::obs

@@ -15,6 +15,20 @@ namespace ysmart::obs {
 
 namespace {
 
+/// Node count above which the traffic matrix is reported as top-k sparse
+/// cells instead of a dense grid.
+constexpr int kDenseMatrixMaxNodes = 64;
+/// Cells retained in sparse mode (by bytes desc, then from/to asc).
+constexpr std::size_t kTopCells = 64;
+/// A node is a straggler when its busy seconds exceed this multiple of
+/// the median node's (>= 2 nodes, median > 0).
+constexpr double kNodeStragglerThreshold = 2.0;
+/// Busy-seconds CV at or above this flags node load imbalance.
+constexpr double kImbalanceCvThreshold = 0.5;
+/// Share of all remote block reads on one node that flags concentrated
+/// locality misses.
+constexpr double kLocalityConcentrationShare = 0.5;
+
 /// Replay CostModel::makespan's greedy LPT fold over one phase and
 /// record which (slot -> lane) each task landed on. The fold runs
 /// relative to the phase start with identical ordering (seconds
@@ -100,8 +114,7 @@ std::vector<const NodeStats*> busiest(const std::vector<NodeStats>& nodes,
 
 }  // namespace
 
-ClusterReport build_cluster_view(const QueryTaskSamples& query,
-                                 const ClusterViewOptions& opts) {
+ClusterReport build_cluster_view(const QueryTaskSamples& query) {
   ClusterReport rep;
   if (query.jobs.empty()) return rep;
 
@@ -211,7 +224,7 @@ ClusterReport build_cluster_view(const QueryTaskSamples& query,
   }
 
   // ---- dense or top-k sparse matrix materialization ----
-  rep.traffic.sparse = nodes > opts.dense_matrix_max_nodes;
+  rep.traffic.sparse = nodes > kDenseMatrixMaxNodes;
   if (!rep.traffic.sparse) {
     rep.traffic.dense.assign(
         static_cast<std::size_t>(nodes),
@@ -230,8 +243,7 @@ ClusterReport build_cluster_view(const QueryTaskSamples& query,
       if (a.from != b.from) return a.from < b.from;
       return a.to < b.to;
     });
-    if (all.size() > static_cast<std::size_t>(std::max(0, opts.top_cells)))
-      all.resize(static_cast<std::size_t>(std::max(0, opts.top_cells)));
+    if (all.size() > kTopCells) all.resize(kTopCells);
     rep.traffic.top_cells = std::move(all);
   }
 
@@ -246,7 +258,7 @@ ClusterReport build_cluster_view(const QueryTaskSamples& query,
     if (median > 0) {
       int listed = 0;
       for (const auto& n : rep.nodes) {
-        if (n.busy_s <= opts.node_straggler_threshold * median) continue;
+        if (n.busy_s <= kNodeStragglerThreshold * median) continue;
         if (listed++ < 3)
           rep.diagnosis.push_back(strf(
               "node %d is a straggler: busy %.1fs, %.1fx the median node "
@@ -257,7 +269,7 @@ ClusterReport build_cluster_view(const QueryTaskSamples& query,
         rep.diagnosis.push_back(
             strf("...and %d more straggler node(s)", listed - 3));
     }
-    if (rep.utilization_cv >= opts.imbalance_cv_threshold)
+    if (rep.utilization_cv >= kImbalanceCvThreshold)
       rep.diagnosis.push_back(
           strf("node load imbalance: busy-seconds CV %.2f across %d nodes",
                rep.utilization_cv, nodes));
@@ -283,7 +295,7 @@ ClusterReport build_cluster_view(const QueryTaskSamples& query,
     }
     if (nodes >= 2 && top && remote_total > 0 &&
         static_cast<double>(top->remote_reads) >=
-            opts.locality_concentration_share *
+            kLocalityConcentrationShare *
                 static_cast<double>(remote_total))
       rep.diagnosis.push_back(strf(
           "locality misses concentrate on node %d: %llu of %llu remote "

@@ -23,10 +23,10 @@
 // pre-expansion uint64 arithmetic), so every row sum equals that map
 // node's emitted shuffle bytes and every column sum equals the receiving
 // partitions' shuffle_bytes_prescale — to the byte, in any summation
-// order. Above dense_matrix_max_nodes nodes only the top-k cells are
-// materialized (the 747-node Facebook preset would otherwise carry a
-// 747x747 grid per record); the full row/column sum vectors are kept in
-// both modes, so the exactness invariant survives sparsification.
+// order. Above 64 nodes only the top 64 cells are materialized (the
+// 747-node Facebook preset would otherwise carry a 747x747 grid per
+// record); the full row/column sum vectors are kept in both modes, so
+// the exactness invariant survives sparsification.
 //
 // The slot timeline replays CostModel::makespan's greedy LPT fold
 // (tasks by descending simulated seconds onto the earliest-free slot)
@@ -50,22 +50,6 @@ class JsonWriter;
 }
 
 namespace ysmart::obs {
-
-struct ClusterViewOptions {
-  /// Node count above which the traffic matrix is reported as top-k
-  /// sparse cells instead of a dense grid.
-  int dense_matrix_max_nodes = 64;
-  /// Cells retained in sparse mode (by bytes desc, then from/to asc).
-  int top_cells = 64;
-  /// A node is a straggler when its busy seconds exceed this multiple
-  /// of the median node's (>= 2 nodes, median > 0).
-  double node_straggler_threshold = 2.0;
-  /// Busy-seconds CV at or above this flags node load imbalance.
-  double imbalance_cv_threshold = 0.5;
-  /// Share of all remote block reads on one node that flags
-  /// concentrated locality misses.
-  double locality_concentration_share = 0.5;
-};
 
 /// Per-node rollup across every job of the query.
 struct NodeStats {
@@ -168,7 +152,6 @@ struct ClusterReport {
 
 /// Build the cluster view of one query's samples. Pure; safe on empty
 /// or partially-filled sample sets (returns an empty report).
-ClusterReport build_cluster_view(const QueryTaskSamples& query,
-                                 const ClusterViewOptions& opts = {});
+ClusterReport build_cluster_view(const QueryTaskSamples& query);
 
 }  // namespace ysmart::obs

@@ -60,20 +60,6 @@ double EventLog::wall_now_us() const {
       .count();
 }
 
-void EventLog::set_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity == 0 ? 1 : capacity;
-  while (ring_.size() > capacity_) {
-    ring_.erase(ring_.begin());
-    ++dropped_;
-  }
-}
-
-std::size_t EventLog::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
 void EventLog::emit(EventLevel level, EventCategory category,
                     std::string_view name, double sim_s,
                     std::vector<EventField> fields) {
@@ -96,7 +82,7 @@ void EventLog::emit(EventLevel level, EventCategory category,
       sink_.reset();
     }
   }
-  if (ring_.size() == capacity_) {
+  if (ring_.size() == kCapacity) {
     ring_.erase(ring_.begin());
     ++dropped_;
   }

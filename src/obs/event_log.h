@@ -14,7 +14,7 @@
 //  * deterministic key/value fields (bytes, records, simulated seconds —
 //    never wall-clock values, so the sim-axis export stays diffable).
 //
-// Retention is a bounded in-memory ring (default 4096 events; the oldest
+// Retention is a bounded in-memory ring (kCapacity events; the oldest
 // are dropped and counted, never silently). An optional streaming sink
 // appends each event to a file as one JSON line the moment it is emitted
 // (YSMART_EVENTS=<path> in the shell); sink I/O failures are reported on
@@ -81,16 +81,11 @@ struct Event {
 
 class EventLog {
  public:
-  static constexpr std::size_t kDefaultCapacity = 4096;
+  static constexpr std::size_t kCapacity = 4096;
 
   enum class IncludeWall { Yes, No };
 
   EventLog();
-
-  /// Resize the ring. Shrinking drops the oldest events (counted as
-  /// dropped, like ring overflow).
-  void set_capacity(std::size_t capacity);
-  std::size_t capacity() const;
 
   /// Append one event. Assigns the sequence number and wall timestamp;
   /// `sim_s` is the simulated timestamp the emitter places the event at.
@@ -123,7 +118,6 @@ class EventLog {
 
   mutable std::mutex mu_;
   std::chrono::steady_clock::time_point epoch_;
-  std::size_t capacity_ = kDefaultCapacity;
   std::vector<Event> ring_;  // kept in order, oldest first
   std::uint64_t next_seq_ = 0;
   std::uint64_t dropped_ = 0;

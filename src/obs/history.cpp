@@ -5,21 +5,10 @@
 
 namespace ysmart::obs {
 
-void QueryHistoryStore::set_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity == 0 ? 1 : capacity;
-  while (ring_.size() > capacity_) ring_.erase(ring_.begin());
-}
-
-std::size_t QueryHistoryStore::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
 void QueryHistoryStore::add(QueryHistoryRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
   record.id = next_id_++;
-  if (ring_.size() == capacity_) ring_.erase(ring_.begin());
+  if (ring_.size() == kCapacity) ring_.erase(ring_.begin());
   ring_.push_back(std::move(record));
 }
 
@@ -53,7 +42,7 @@ std::string QueryHistoryStore::json() const {
   std::lock_guard<std::mutex> lock(mu_);
   JsonWriter w;
   w.begin_object();
-  w.kv("capacity", static_cast<std::uint64_t>(capacity_));
+  w.kv("capacity", static_cast<std::uint64_t>(kCapacity));
   w.kv("total_recorded", next_id_ - 1);
   w.key("queries").begin_array();
   for (std::size_t i = ring_.size(); i-- > 0;) {
@@ -83,7 +72,7 @@ std::string QueryHistoryStore::table(std::size_t k) const {
   if (rows.empty()) return "history: no completed queries recorded\n";
   std::string out = strf("history: %zu of %llu recorded (capacity %zu)\n",
                          size(), static_cast<unsigned long long>(total_recorded()),
-                         capacity());
+                         kCapacity);
   out += "  id  profile   jobs waves    sim_s   status  sql\n";
   for (const auto& r : rows) {
     std::string sql = r.sql;

@@ -6,10 +6,10 @@
 // store is the session-level complement: obs::observe() appends one
 // QueryHistoryRecord per Database::run — completed, DNF or thrown (SQL
 // text, translation profile, job/wave counts, simulated and host times,
-// failure reason or error, and the query doctor's rendered report),
-// retaining the most recent N under ring retention. The shell surfaces
-// it as \history [k] and \last [i] (re-print a past query's analyze tree
-// without re-running it).
+// failure reason or error, the query doctor's rendered report and the
+// plan view), retaining the most recent kCapacity under ring retention.
+// The shell surfaces it as \history [k], \last [i] (re-print a past
+// query's analyze tree without re-running it) and \explain.
 //
 // Everything stored is copied from values already computed for the run;
 // recording happens on the orchestrating thread after execution, so an
@@ -21,8 +21,11 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "obs/plan_view.h"
 
 namespace ysmart::obs {
 
@@ -41,15 +44,16 @@ struct QueryHistoryRecord {
   std::string digest;
   /// Full rendered analyzer report; what \last re-prints.
   std::string analyzer_text;
+  /// The translate-time prediction joined against this run's actuals.
+  /// Empty unless every predicted job ran, with the names in order: a
+  /// run that stopped early has nothing to hold the rest against. Not
+  /// part of json(); the bench's --explain writes it.
+  std::optional<PlanReport> plan;
 };
 
 class QueryHistoryStore {
  public:
-  static constexpr std::size_t kDefaultCapacity = 32;
-
-  /// Resize the retention ring; shrinking evicts the oldest records.
-  void set_capacity(std::size_t capacity);
-  std::size_t capacity() const;
+  static constexpr std::size_t kCapacity = 32;
 
   /// Append one completed query; assigns the record id. The oldest
   /// record is evicted once the ring is full.
@@ -76,7 +80,6 @@ class QueryHistoryStore {
 
  private:
   mutable std::mutex mu_;
-  std::size_t capacity_ = kDefaultCapacity;
   std::vector<QueryHistoryRecord> ring_;  // oldest first
   std::uint64_t next_id_ = 1;
 };

@@ -7,8 +7,13 @@ namespace ysmart::obs {
 
 namespace {
 
-int stragglers(const std::vector<TaskSample>& tasks) {
-  return static_cast<int>(phase_stats(tasks).stragglers.size());
+/// Every predicted job ran, with the names in order: only then does the
+/// plan view hold each prediction against its own actuals.
+bool ran_as_predicted(const QueryPrediction& p, const QueryMetrics& m) {
+  if (p.jobs.size() != m.jobs.size()) return false;
+  for (std::size_t j = 0; j < p.jobs.size(); ++j)
+    if (p.jobs[j].name != m.jobs[j].job_name) return false;
+  return true;
 }
 
 /// Journals every retried or exhausted task of one phase, at `sim_s`.
@@ -34,8 +39,6 @@ void job_start(ObsContext& obs, JobTaskSamples& job, const JobMetrics& m) {
     sched.sim(job.sim_start_s, m.sched_delay_s);
     sched.arg("slot_share", job.slot_share);
   }
-  obs.progress.begin_job(job.job_name, job.map_only, job.map_tasks.size(),
-                         job.reduce_tasks.size());
 }
 
 void map_done(ObsContext& obs, const JobTaskSamples& job, const JobMetrics& m) {
@@ -44,10 +47,7 @@ void map_done(ObsContext& obs, const JobTaskSamples& job, const JobMetrics& m) {
   obs.tracer.arg(job.map_span, "tasks", m.map.tasks);
   obs.tracer.arg(job.map_span, "input_bytes", m.map.input_bytes);
   obs.tracer.arg(job.map_span, "output_bytes", m.map.output_bytes);
-  for (const auto& t : job.map_tasks)
-    obs.progress.task_done(/*reduce_phase=*/false, t.sim_seconds);
   task_faults(obs, job.job_name, job.map_tasks, "map", t0);
-  obs.progress.phase_done(/*reduce_phase=*/false, stragglers(job.map_tasks));
   obs.events.emit(EventLevel::Info, EventCategory::Map, "map-phase-done",
                   t0 + m.map_time_s,
                   {{"job", job.job_name}, {"tasks", m.map.tasks},
@@ -65,15 +65,11 @@ void job_done(ObsContext& obs, JobTaskSamples& job, const JobMetrics& m) {
     obs.tracer.set_sim(job.reduce_span, t0, m.reduce_time_s);
     obs.tracer.arg(job.reduce_span, "tasks", m.reduce.tasks);
     obs.tracer.arg(job.reduce_span, "shuffle_bytes_wire", m.shuffle_bytes_wire);
-    for (const auto& t : job.reduce_tasks)
-      obs.progress.task_done(/*reduce_phase=*/true, t.sim_seconds);
     task_faults(obs, job.job_name, job.reduce_tasks, "reduce", t0);
     obs.events.emit(EventLevel::Info, EventCategory::Shuffle, "shuffle-done",
                     t0, {{"job", job.job_name},
                          {"bytes_raw", m.shuffle_bytes_raw},
                          {"bytes_wire", m.shuffle_bytes_wire}});
-    obs.progress.phase_done(/*reduce_phase=*/true,
-                            stragglers(job.reduce_tasks));
     obs.events.emit(EventLevel::Info, EventCategory::Reduce,
                     "reduce-phase-done", t0 + m.reduce_time_s,
                     {{"job", job.job_name}, {"tasks", m.reduce.tasks},
@@ -107,7 +103,6 @@ void job_done(ObsContext& obs, JobTaskSamples& job, const JobMetrics& m) {
                      {"retries", retries},
                      {"dfs_write_bytes", m.dfs_write_bytes},
                      {"sim_total_s", m.total_time_s()}});
-  obs.progress.job_done(m.failed, m.total_time_s());
 
   job.failed = m.failed;
   job.sched_delay_s = m.sched_delay_s;
@@ -140,19 +135,19 @@ void query_done(ObsContext& obs, QueryRecord& q) {
                    {"jobs", jobs},
                    {"sim_wall_s", wall},
                    {"failed", failed ? 1 : 0}});
-  if (q.translated) obs.progress.end_query(failed, wall);
 
   const std::chrono::duration<double, std::milli> host =
       std::chrono::steady_clock::now() - q.host_start;
+  std::optional<PlanReport> plan;
+  if (m && q.prediction && ran_as_predicted(*q.prediction, *m))
+    plan = join_plan_actuals(*q.prediction, qs, *m);
   obs.history.add(
       {.sql = q.sql, .profile = q.profile, .jobs = static_cast<int>(jobs),
        .waves = static_cast<int>(report.waves.size()), .sim_total_s = total,
        .sim_wall_s = wall, .host_wall_ms = host.count(), .failed = failed,
        .fail_reason = m ? m->fail_reason() : q.error,
        .digest = report.diagnosis.empty() ? "ok" : report.diagnosis.front(),
-       .analyzer_text = report.text()});
-
-  if (m && obs.plans.enabled()) obs.plans.attach_actuals(qs, *m);
+       .analyzer_text = report.text(), .plan = std::move(plan)});
   obs.profiler.query_end();
 }
 
@@ -178,7 +173,6 @@ void observe(ObsContext* obs, WavePoint at, WaveRecord& wave) {
     // Stamp the wave's jobs in the sample store; Done keeps the wave's
     // record next to them.
     obs->samples.set_current_wave(wave.index);
-    obs->progress.begin_wave(wave.index, wave.jobs);
     obs->events.emit(EventLevel::Info, EventCategory::Schedule, "wave-start",
                      wave.sim_start_s, {{"wave", index}, {"jobs", jobs}});
     return;
@@ -208,12 +202,10 @@ void observe(ObsContext* obs, QueryPoint at, QueryRecord& q) {
       obs->profiler.query_begin();
       return;
     case QueryPoint::Translated:
-      q.translated = true;
       obs->events.emit(EventLevel::Info, EventCategory::Translate,
                        "query-start", q.sim_start_s,
                        {{"profile", std::string_view(q.profile)},
                         {"jobs", static_cast<std::uint64_t>(q.jobs)}});
-      obs->progress.begin_query(q.sql, q.profile, q.jobs);
       return;
     case QueryPoint::Done:
       return query_done(*obs, q);
@@ -221,10 +213,8 @@ void observe(ObsContext* obs, QueryPoint at, QueryRecord& q) {
 }
 
 void observe_translation(ObsContext* obs, int span, const std::string& profile,
-                         std::size_t jobs,
-                         const std::function<QueryPrediction()>& predict) {
+                         std::size_t jobs) {
   if (!obs) return;
-  if (obs->plans.enabled()) obs->plans.record_prediction(predict());
   obs->tracer.arg(span, "jobs", static_cast<std::uint64_t>(jobs));
   obs->events.emit(EventLevel::Info, EventCategory::Translate, "translated",
                    obs->tracer.sim_now(),

@@ -6,10 +6,9 @@
 //   tracer    per-query span tree (Chrome trace / EXPLAIN ANALYZE)
 //   samples   per-task and per-wave records for the query doctor
 //   events    structured event journal (leveled, categorized JSONL)
-//   progress  live per-wave/per-job task-completion state (\top, --progress)
-//   history   cross-query flight recorder (last N completed queries)
+//   history   cross-query flight recorder (last N completed queries, each
+//             with its predicted-vs-actual plan view, \explain)
 //   profiler  host-axis CPU/allocation/dispatch accounting (\hotspots)
-//   plans     plan-axis predicted-vs-actual accountability (\explain)
 //
 // All of them are derived from one record per lifecycle level, filled
 // whether or not an observer is attached: the engine's job record
@@ -29,7 +28,7 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -37,7 +36,6 @@
 #include "obs/history.h"
 #include "obs/plan_view.h"
 #include "obs/profiler.h"
-#include "obs/progress.h"
 #include "obs/task_samples.h"
 #include "obs/trace.h"
 
@@ -52,10 +50,8 @@ struct ObsContext {
   Tracer tracer;
   TaskSampleStore samples;
   EventLog events;
-  ProgressTracker progress;
   QueryHistoryStore history;
   HostProfiler profiler;
-  PlanViewStore plans;
 
   /// True while the DAG executor has a wave open: its jobs all start at
   /// the tracer's sim cursor, and only the wave's end advances it.
@@ -65,10 +61,8 @@ struct ObsContext {
     tracer.clear();
     samples.clear();
     events.clear();
-    progress.clear();
     history.clear();
     profiler.clear();  // keeps its enabled state, drops recorded phases
-    plans.clear();     // likewise: keeps enabled, drops predictions/reports
     in_wave = false;
   }
 };
@@ -158,26 +152,27 @@ void observe(ObsContext* obs, WavePoint at, WaveRecord& wave);
 /// One Database::run. Done is published on every exit: with `metrics`
 /// after a completed run (DNF included), or with `error` set when the
 /// run threw, in which case the jobs that completed stand in for it.
+/// Done joins `prediction` against the actuals into the history record
+/// when every predicted job ran, with the names in order.
 struct QueryRecord {
   std::string sql;
   std::string profile;
   int span = -1;             // the query's tracer span
   double sim_start_s = 0;    // set at Start from the tracer's cursor
   std::chrono::steady_clock::time_point host_start{};  // set at Start
-  bool translated = false;
   std::size_t jobs = 0;      // translated job count
+  /// Set by Database::run after translation, before anything executes,
+  /// so the join against actuals is honest (obs/plan_view.h).
+  std::optional<QueryPrediction> prediction{};
   const QueryMetrics* metrics = nullptr;
   std::string error{};
 };
 enum class QueryPoint { Start, Translated, Done };
 void observe(ObsContext* obs, QueryPoint at, QueryRecord& query);
 
-/// A finished Database::translate_query: the translate span's job count,
-/// the "translated" event and, with the plan view on, the prediction
-/// `predict` makes — recorded before anything executes, so the later
-/// join against actuals is honest (obs/plan_view.h).
+/// A finished Database::translate_query: the translate span's job count
+/// and the "translated" event.
 void observe_translation(ObsContext* obs, int span, const std::string& profile,
-                         std::size_t jobs,
-                         const std::function<QueryPrediction()>& predict);
+                         std::size_t jobs);
 
 }  // namespace ysmart::obs

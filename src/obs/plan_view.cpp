@@ -664,224 +664,4 @@ std::string PlanReport::json(bool full) const {
   return w.take();
 }
 
-std::string render_whatif(const PlanReport& merged,
-                          const PlanReport& baseline) {
-  const QueryPrediction& a = merged.prediction;
-  const QueryPrediction& b = baseline.prediction;
-  std::string s =
-      strf("== what-if: %s vs %s ==\n", a.profile.c_str(), b.profile.c_str());
-  auto line = [&](const char* label, const std::string& va,
-                  const std::string& vb) {
-    s += strf("  %-22s %-18s %s\n", label, va.c_str(), vb.c_str());
-  };
-  line("", a.profile, b.profile);
-  line("jobs (pred)", strf("%zu", a.jobs.size()), strf("%zu", b.jobs.size()));
-  line("waves (pred)", strf("%d", a.waves), strf("%d", b.waves));
-  line("sim wall s (pred)", strf("%.3f", a.wall_time_s),
-       strf("%.3f", b.wall_time_s));
-  line("shuffle wire (pred)", strf("%llu", static_cast<unsigned long long>(
-                                               a.shuffle_bytes_wire())),
-       strf("%llu",
-            static_cast<unsigned long long>(b.shuffle_bytes_wire())));
-  if (merged.executed || baseline.executed) {
-    auto actual = [&](const PlanReport& r, auto fmt) {
-      return r.executed ? fmt() : std::string("-");
-    };
-    line("jobs (act)",
-         actual(merged, [&] { return strf("%d", merged.actual_jobs); }),
-         actual(baseline, [&] { return strf("%d", baseline.actual_jobs); }));
-    line("waves (act)",
-         actual(merged, [&] { return strf("%d", merged.actual_waves); }),
-         actual(baseline, [&] { return strf("%d", baseline.actual_waves); }));
-    line("sim wall s (act)",
-         actual(merged, [&] { return strf("%.3f", merged.actual_wall_s); }),
-         actual(baseline,
-                [&] { return strf("%.3f", baseline.actual_wall_s); }));
-    line("shuffle wire (act)",
-         actual(merged,
-                [&] {
-                  return strf("%llu", static_cast<unsigned long long>(
-                                          merged.actual_shuffle_wire));
-                }),
-         actual(baseline, [&] {
-           return strf("%llu", static_cast<unsigned long long>(
-                                   baseline.actual_shuffle_wire));
-         }));
-    line("max q-error",
-         actual(merged, [&] { return strf("%.2f", merged.max_q); }),
-         actual(baseline, [&] { return strf("%.2f", baseline.max_q); }));
-  }
-  if (a.wall_time_s > 0 && b.wall_time_s > 0)
-    s += strf("  predicted: %s %.2fx %s than %s\n", a.profile.c_str(),
-              a.wall_time_s <= b.wall_time_s
-                  ? b.wall_time_s / a.wall_time_s
-                  : a.wall_time_s / b.wall_time_s,
-              a.wall_time_s <= b.wall_time_s ? "faster" : "slower",
-              b.profile.c_str());
-  if (merged.executed && baseline.executed && merged.actual_wall_s > 0 &&
-      baseline.actual_wall_s > 0)
-    s += strf("  actual:    %s %.2fx %s than %s\n", a.profile.c_str(),
-              merged.actual_wall_s <= baseline.actual_wall_s
-                  ? baseline.actual_wall_s / merged.actual_wall_s
-                  : merged.actual_wall_s / baseline.actual_wall_s,
-              merged.actual_wall_s <= baseline.actual_wall_s ? "faster"
-                                                             : "slower",
-              b.profile.c_str());
-  return s;
-}
-
-// ---------------------------------------------------------------------------
-// Store + calibration ring
-// ---------------------------------------------------------------------------
-
-namespace {
-
-double column_quantile(const std::vector<CalibrationSample>& samples,
-                       std::size_t metric, int pct) {
-  std::vector<double> qs;
-  qs.reserve(samples.size());
-  for (const auto& s : samples)
-    if (metric < s.q.size()) qs.push_back(s.q[metric]);
-  if (qs.empty()) return 0.0;
-  std::sort(qs.begin(), qs.end());
-  if (pct >= 100) return qs.back();
-  // Lower quantile (house median convention): index floor((n-1)*p/100).
-  return qs[((qs.size() - 1) * static_cast<std::size_t>(pct)) / 100];
-}
-
-}  // namespace
-
-double CalibrationSnapshot::p50(std::size_t metric) const {
-  return column_quantile(samples, metric, 50);
-}
-double CalibrationSnapshot::p95(std::size_t metric) const {
-  return column_quantile(samples, metric, 95);
-}
-double CalibrationSnapshot::max(std::size_t metric) const {
-  return column_quantile(samples, metric, 100);
-}
-
-std::string calibration_json(const CalibrationSnapshot& snap) {
-  JsonWriter w;
-  w.begin_object();
-  w.kv("capacity", static_cast<std::uint64_t>(snap.capacity));
-  w.kv("total_recorded", snap.total_recorded);
-  w.key("metrics").begin_array();
-  for (const auto& m : kPlanMetrics) w.value(std::string_view(m));
-  w.end_array();
-  w.key("samples").begin_array();
-  for (const auto& s : snap.samples) {
-    w.begin_object();
-    w.kv("id", s.id);
-    w.kv("profile", std::string_view(s.profile));
-    w.kv("jobs", s.jobs);
-    w.key("q").begin_array();
-    for (double q : s.q) w.value(q);
-    w.end_array();
-    w.kv("max_q", s.max_q);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("p50").begin_array();
-  for (std::size_t i = 0; i < kPlanMetrics.size(); ++i) w.value(snap.p50(i));
-  w.end_array();
-  w.key("p95").begin_array();
-  for (std::size_t i = 0; i < kPlanMetrics.size(); ++i) w.value(snap.p95(i));
-  w.end_array();
-  w.key("max").begin_array();
-  for (std::size_t i = 0; i < kPlanMetrics.size(); ++i) w.value(snap.max(i));
-  w.end_array();
-  w.end_object();
-  return w.take();
-}
-
-void PlanViewStore::set_enabled(bool enabled) {
-  std::lock_guard<std::mutex> lock(mu_);
-  enabled_ = enabled;
-}
-
-bool PlanViewStore::enabled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return enabled_;
-}
-
-void PlanViewStore::record_prediction(QueryPrediction p) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (pending_.size() >= kMaxPending) pending_.erase(pending_.begin());
-  pending_.push_back(std::move(p));
-}
-
-bool PlanViewStore::attach_actuals(const QueryTaskSamples& samples,
-                                   const QueryMetrics& metrics) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Most recent pending prediction whose job list matches the run.
-  for (std::size_t i = pending_.size(); i-- > 0;) {
-    const QueryPrediction& p = pending_[i];
-    if (p.jobs.size() != metrics.jobs.size()) continue;
-    bool match = true;
-    for (std::size_t j = 0; j < p.jobs.size(); ++j)
-      if (p.jobs[j].name != metrics.jobs[j].job_name) {
-        match = false;
-        break;
-      }
-    if (!match) continue;
-    PlanReport rep = join_plan_actuals(p, samples, metrics);
-    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-    CalibrationSample cal;
-    cal.id = next_id_++;
-    cal.profile = rep.prediction.profile;
-    cal.jobs = static_cast<int>(rep.prediction.jobs.size());
-    for (const auto& row : rep.query) cal.q.push_back(row.q);
-    cal.max_q = rep.max_q;
-    if (ring_.size() >= capacity_) ring_.erase(ring_.begin());
-    ring_.push_back(std::move(cal));
-    if (reports_.size() >= kMaxReports) reports_.erase(reports_.begin());
-    reports_.push_back(std::move(rep));
-    return true;
-  }
-  return false;
-}
-
-std::size_t PlanViewStore::pending_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pending_.size();
-}
-
-bool PlanViewStore::last_prediction(QueryPrediction* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (pending_.empty()) return false;
-  if (out) *out = pending_.back();
-  return true;
-}
-
-std::size_t PlanViewStore::report_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reports_.size();
-}
-
-bool PlanViewStore::last_report(PlanReport* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (reports_.empty()) return false;
-  if (out) *out = reports_.back();
-  return true;
-}
-
-CalibrationSnapshot PlanViewStore::calibration() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  CalibrationSnapshot snap;
-  snap.capacity = capacity_;
-  snap.total_recorded = next_id_ - 1;
-  snap.samples = ring_;
-  return snap;
-}
-
-void PlanViewStore::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  pending_.clear();
-  reports_.clear();
-  ring_.clear();
-  next_id_ = 1;
-  // enabled_ survives, like HostProfiler::clear.
-}
-
 }  // namespace ysmart::obs

@@ -2,18 +2,17 @@
 //
 // The paper's YSmart picks its merged plan with a pure connectivity
 // heuristic — "Currently YSmart does not seek a solution based on
-// execution cost estimations" (Section IV-A). Before translation can be
-// made cost-based, cost and cardinality predictions must be *observable
-// and accountable* against actuals. This module records, at translate
-// time, a per-job prediction (input rows/bytes from StatsCatalog,
+// execution cost estimations" (Section IV-A). This module shows how far
+// a simple cost and cardinality prediction lands from what a run
+// measures: a per-job prediction (input rows/bytes from StatsCatalog,
 // reduce-group cardinality via estimate_groups, per-phase simulated
-// seconds via CostModel) and, after execution, joins it against the
-// retained task samples and JobMetrics into an EXPLAIN ANALYZE tree
-// annotated with estimated-vs-actual values, a ranked q-error report,
-// and a cross-query calibration ring in the flight-recorder style.
+// seconds via CostModel) made before the query executes, joined after
+// execution against the retained task samples and JobMetrics into an
+// EXPLAIN ANALYZE tree annotated with estimated-vs-actual values and a
+// ranked q-error report.
 //
 // Prediction model (deliberately simple — the point is to *measure* how
-// wrong it is, per quantity, so the next layer can calibrate):
+// wrong it is, per quantity):
 //  * Base-table inputs read their true DFS block map (block splitting and
 //    replica locality exactly as the engine schedules them); intermediate
 //    inputs take the producing job's predicted output, split into
@@ -34,12 +33,13 @@
 // Reconciliation contract: every JobPrediction retains the exact
 // MapTaskWork / ReduceTaskWork groups it costed, and the stored phase
 // seconds EQUAL (==, not approximately) a standalone CostModel replay of
-// those groups — pinned by test_robustness. Like the analyzer and the
+// those groups — pinned by test_plan_view. Like the analyzer and the
 // cluster view, everything here is a pure function of already-computed
-// values: predictions are recorded on the orchestrating thread at
-// translate time and joined after execution, so an enabled plan view
-// cannot perturb simulated metrics, results, or any other observability
-// JSON (also pinned by test_robustness, plan view on/off x pool sizes).
+// values: while an observer is attached, Database::run predicts on the
+// orchestrating thread before anything executes, and observe() joins
+// the prediction into the query's history record (obs/history.h) after
+// execution, so the plan view cannot perturb simulated metrics, results,
+// or any other observability JSON (pinned by test_robustness).
 //
 // q-error convention (symmetric, finite, deterministic):
 //   q(est, act) = max(est, act) / min(est, act)      when both > 0
@@ -50,7 +50,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -189,7 +188,7 @@ struct RankedMiss {
 /// The joined EXPLAIN ANALYZE document of one executed query.
 struct PlanReport {
   QueryPrediction prediction;
-  bool executed = false;  // false: prediction only (\whatif without run)
+  bool executed = false;  // false: joined against a run with no jobs
 
   // Actual side (from QueryMetrics / QueryTaskSamples).
   int actual_jobs = 0;
@@ -218,78 +217,7 @@ PlanReport join_plan_actuals(const QueryPrediction& pred,
                              const QueryTaskSamples& samples,
                              const QueryMetrics& metrics);
 
-/// Render two plan reports (YSmart merge vs one-op-one-job baseline)
-/// side by side: predictions, and actuals when executed.
-std::string render_whatif(const PlanReport& merged,
-                          const PlanReport& baseline);
-
-/// One calibration entry: the query-level q-errors of one executed run.
-struct CalibrationSample {
-  std::uint64_t id = 0;  // 1-based across the session, survives eviction
-  std::string profile;
-  int jobs = 0;
-  /// Positionally parallel to kPlanMetrics.
-  std::vector<double> q;
-  double max_q = 1;
-};
-
-/// Fixed metric vocabulary of comparison rows and calibration columns.
+/// Fixed metric vocabulary of comparison rows, in row order.
 extern const std::vector<std::string> kPlanMetrics;
-
-struct CalibrationSnapshot {
-  std::size_t capacity = 0;
-  std::uint64_t total_recorded = 0;
-  std::vector<CalibrationSample> samples;  // oldest first
-  /// Lower-median / floor-p95 / max of one metric column over the
-  /// retained samples; zeros when empty.
-  double p50(std::size_t metric) const;
-  double p95(std::size_t metric) const;
-  double max(std::size_t metric) const;
-};
-
-/// The calibration ring as a JSON object: capacity, totals, the metric
-/// vocabulary, retained samples and per-metric p50/p95/max columns.
-std::string calibration_json(const CalibrationSnapshot& snap);
-
-/// The ObsContext's plan-view surface: disabled by default (recording is
-/// opt-in like the host profiler), holding pending predictions, joined
-/// reports, and the cross-query q-error calibration ring.
-class PlanViewStore {
- public:
-  static constexpr std::size_t kDefaultCapacity = 32;  // calibration ring
-  static constexpr std::size_t kMaxPending = 8;
-  static constexpr std::size_t kMaxReports = 8;
-
-  void set_enabled(bool enabled);
-  bool enabled() const;
-
-  /// Record a prediction at translate time (Database::translate_query).
-  void record_prediction(QueryPrediction p);
-
-  /// Join the most recent pending prediction whose job names match the
-  /// executed metrics; appends a report + calibration sample. Returns
-  /// false (and records nothing) when no pending prediction matches.
-  bool attach_actuals(const QueryTaskSamples& samples,
-                      const QueryMetrics& metrics);
-
-  std::size_t pending_count() const;
-  bool last_prediction(QueryPrediction* out) const;
-  std::size_t report_count() const;
-  bool last_report(PlanReport* out) const;
-  CalibrationSnapshot calibration() const;
-
-  /// Drop predictions, reports and the ring; keeps the enabled state
-  /// (mirrors HostProfiler::clear).
-  void clear();
-
- private:
-  mutable std::mutex mu_;
-  bool enabled_ = false;
-  std::size_t capacity_ = kDefaultCapacity;
-  std::vector<QueryPrediction> pending_;  // oldest first, bounded
-  std::vector<PlanReport> reports_;       // oldest first, bounded
-  std::vector<CalibrationSample> ring_;   // oldest first
-  std::uint64_t next_id_ = 1;
-};
 
 }  // namespace ysmart::obs

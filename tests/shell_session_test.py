@@ -2,10 +2,10 @@
 """End-to-end scripted session of ysmart_shell with recorders active.
 
 Drives the interactive shell through stdin with YSMART_TRACE and
-YSMART_EVENTS set, runs two queries plus the flight-recorder, progress
-and plan-view commands, and asserts that
+YSMART_EVENTS set, runs two queries plus the flight-recorder and
+plan-view commands, and asserts that
 
-  - the shell exits cleanly and prints history/top/last/explain output,
+  - the shell exits cleanly and prints history/last/explain output,
   - the trace file is valid JSON with spans for both queries,
   - the events file passes tools/validate_events_jsonl.py and holds
     events from both queries.
@@ -46,7 +46,6 @@ def main():
             QUERY1,
             QUERY2,
             "\\history",
-            "\\top",
             "\\last 1",
             f"\\explain {QUERY2}",
             "\\quit",
@@ -64,7 +63,6 @@ def main():
         for needle, why in [
             ("history: 2 of 2 recorded", "\\history output"),
             ("query doctor", "\\last analyzer report"),
-            ("state: done", "\\top progress state"),
             ("== plan view", "\\explain plan view"),
         ]:
             if needle not in out:

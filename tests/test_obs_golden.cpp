@@ -2,10 +2,10 @@
 //
 // Runs a fixed set of queries with one ObsContext attached and renders
 // everything the observers recorded — the event journal, the sim-axis
-// trace and span tree, the host profiler's phase list, the progress
-// snapshot seen at each callback, the per-query analyzer, cluster and
-// plan views, and the flight recorder — into one canonical text, with
-// the host-dependent parts (wall clocks, host milliseconds) left out.
+// trace and span tree, the host profiler's phase list, the per-query
+// analyzer, cluster and plan views, and the flight recorder — into one
+// canonical text, with the host-dependent parts (wall clocks, host
+// milliseconds) left out.
 // The text is compared byte for byte against
 // tests/golden/obs_surfaces.txt.
 //
@@ -116,11 +116,7 @@ class GoldenRun {
     cc.users = 40;
     cc.mean_clicks_per_user = 10;
     clicks_ = generate_clicks(cc);
-    ctx_.plans.set_enabled(true);
     ctx_.profiler.set_enabled(true);
-    ctx_.progress.set_callback([this](const obs::ProgressSnapshot& s) {
-      progress_ += "--\n" + s.render();
-    });
   }
 
   /// Two back-to-back jobs straight on an engine, before any query: they
@@ -166,9 +162,9 @@ class GoldenRun {
     const obs::QueryTaskSamples qs = ctx_.samples.last_query();
     text_ += "analyzer:\n" + pretty_json(obs::analyze_query(qs).json());
     text_ += "cluster:\n" + pretty_json(obs::build_cluster_view(qs).json());
-    obs::PlanReport plan;
-    if (ctx_.plans.last_report(&plan))
-      text_ += "plan:\n" + pretty_json(plan.json(/*full=*/true));
+    obs::QueryHistoryRecord rec;
+    if (ctx_.history.at(0, &rec) && rec.plan)
+      text_ += "plan:\n" + pretty_json(rec.plan->json(/*full=*/true));
   }
 
   std::string canonical() const {
@@ -184,7 +180,6 @@ class GoldenRun {
     out += "== host phases\n";
     for (const auto& p : ctx_.profiler.snapshot())
       out += strf("%s %s span=%d\n", p.job.c_str(), p.phase.c_str(), p.span_id);
-    out += "== progress\n" + progress_;
     out += "== history\n" +
            pretty_json(std::regex_replace(ctx_.history.json(),
                                           std::regex(R"("host_wall_ms":[^,]*,)"),
@@ -199,7 +194,6 @@ class GoldenRun {
   ThreadPool pool_;
   obs::ObsContext ctx_;
   std::string text_;
-  std::string progress_;
 };
 
 std::string read_file(const std::string& path) {

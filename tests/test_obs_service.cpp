@@ -1,13 +1,11 @@
 // Tests for the continuous-observability service: the structured event
-// journal, the cross-query flight recorder, the live progress tracker,
-// and the hardened write_text_file helper.
+// journal, the cross-query flight recorder, and the hardened
+// write_text_file helper.
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -151,16 +149,16 @@ TEST(EventLog, SimOnlyRenderingOmitsWallClock) {
 
 TEST(EventLog, RingRetentionDropsOldestAndCounts) {
   obs::EventLog log;
-  log.set_capacity(3);
-  for (int i = 0; i < 10; ++i)
+  const std::size_t n = obs::EventLog::kCapacity + 7;
+  for (std::size_t i = 0; i < n; ++i)
     log.emit(obs::EventLevel::Info, obs::EventCategory::Schedule,
-             "e" + std::to_string(i), i);
-  EXPECT_EQ(log.size(), 3u);
-  EXPECT_EQ(log.total_emitted(), 10u);
+             "e" + std::to_string(i), static_cast<double>(i));
+  EXPECT_EQ(log.size(), obs::EventLog::kCapacity);
+  EXPECT_EQ(log.total_emitted(), n);
   EXPECT_EQ(log.dropped(), 7u);
   const auto evs = log.events();
   EXPECT_EQ(evs.front().name, "e7");  // oldest retained
-  EXPECT_EQ(evs.back().name, "e9");
+  EXPECT_EQ(evs.back().name, "e" + std::to_string(n - 1));
   EXPECT_EQ(evs.front().seq, 7u);  // seq survives eviction
 }
 
@@ -168,22 +166,22 @@ TEST(EventLog, StreamingSinkWritesEveryEvent) {
   const std::string path = testing::TempDir() + "events_sink.jsonl";
   std::remove(path.c_str());
   obs::EventLog log;
-  log.set_capacity(2);  // smaller than the emission count
+  const std::size_t n = obs::EventLog::kCapacity + 3;  // past the ring
   ASSERT_TRUE(log.open_sink(path));
-  for (int i = 0; i < 5; ++i)
+  for (std::size_t i = 0; i < n; ++i)
     log.emit(obs::EventLevel::Info, obs::EventCategory::Map,
-             "e" + std::to_string(i), i);
+             "e" + std::to_string(i), static_cast<double>(i));
   log.close_sink();
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::string line;
-  int n = 0;
+  std::size_t lines = 0;
   while (std::getline(in, line)) {
     EXPECT_TRUE(MiniJson(line).parse()) << line;
-    ++n;
+    ++lines;
   }
   // The sink streams everything, including events the ring evicted.
-  EXPECT_EQ(n, 5);
+  EXPECT_EQ(lines, n);
   std::remove(path.c_str());
 }
 
@@ -212,22 +210,21 @@ obs::QueryHistoryRecord rec(const std::string& sql, bool failed = false) {
 
 TEST(QueryHistory, RingRetentionAndIds) {
   obs::QueryHistoryStore store;
-  store.set_capacity(2);
-  store.add(rec("q1"));
-  store.add(rec("q2"));
-  store.add(rec("q3"));
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.total_recorded(), 3u);
+  const std::size_t cap = obs::QueryHistoryStore::kCapacity;
+  for (std::size_t i = 1; i <= cap + 1; ++i)
+    store.add(rec("q" + std::to_string(i)));
+  EXPECT_EQ(store.size(), cap);
+  EXPECT_EQ(store.total_recorded(), cap + 1);
   obs::QueryHistoryRecord out;
   ASSERT_TRUE(store.at(0, &out));
-  EXPECT_EQ(out.sql, "q3");
-  EXPECT_EQ(out.id, 3u);  // ids keep counting across eviction
-  ASSERT_TRUE(store.at(1, &out));
-  EXPECT_EQ(out.sql, "q2");
-  EXPECT_FALSE(store.at(2, &out));
+  EXPECT_EQ(out.sql, "q" + std::to_string(cap + 1));
+  EXPECT_EQ(out.id, cap + 1);  // ids keep counting across eviction
+  ASSERT_TRUE(store.at(cap - 1, &out));
+  EXPECT_EQ(out.sql, "q2");  // q1 evicted
+  EXPECT_FALSE(store.at(cap, &out));
   const auto recent = store.recent();
-  ASSERT_EQ(recent.size(), 2u);
-  EXPECT_EQ(recent[0].sql, "q3");  // most recent first
+  ASSERT_EQ(recent.size(), cap);
+  EXPECT_EQ(recent[0].sql, "q" + std::to_string(cap + 1));  // most recent first
 }
 
 TEST(QueryHistory, JsonExportParsesAndTableRenders) {
@@ -241,109 +238,6 @@ TEST(QueryHistory, JsonExportParsesAndTableRenders) {
   const std::string table = store.table();
   EXPECT_NE(table.find("SELECT 1"), std::string::npos);
   EXPECT_NE(table.find("DNF"), std::string::npos);
-}
-
-// ---- progress tracker ----
-
-TEST(Progress, TracksQueryLifecycleMonotonically) {
-  obs::ProgressTracker tracker;
-  std::vector<std::size_t> tasks_done_seen;
-  tracker.set_callback([&](const obs::ProgressSnapshot& s) {
-    tasks_done_seen.push_back(s.tasks_done());
-  });
-  tracker.begin_query("SELECT 1", "ysmart", 2);
-  tracker.begin_wave(0, 1);
-  tracker.begin_job("JOIN1", /*map_only=*/false, 3, 2);
-  tracker.task_done(false, 1.0);
-  tracker.task_done(false, 2.0);
-  tracker.task_done(false, 3.0);
-  tracker.phase_done(false, 1);
-  tracker.task_done(true, 4.0);
-  tracker.task_done(true, 4.0);
-  tracker.phase_done(true, 0);
-  tracker.job_done(false, 10.0);
-
-  obs::ProgressSnapshot s = tracker.snapshot();
-  EXPECT_TRUE(s.active);
-  EXPECT_EQ(s.jobs_done, 1u);
-  EXPECT_EQ(s.total_jobs, 2u);
-  EXPECT_EQ(s.tasks_done(), 5u);
-  EXPECT_EQ(s.tasks_total(), 5u);
-  ASSERT_EQ(s.jobs.size(), 1u);
-  EXPECT_EQ(s.jobs[0].map.stragglers, 1);
-  EXPECT_DOUBLE_EQ(s.sim_done_s, 14.0);
-  EXPECT_GE(s.eta_s, 0);  // one job of two left
-
-  tracker.end_query(false, 12.0);
-  s = tracker.snapshot();
-  EXPECT_FALSE(s.active);
-  EXPECT_EQ(s.queries_finished, 1u);
-  EXPECT_DOUBLE_EQ(s.sim_elapsed_s, 12.0);
-  // Callbacks observed tasks_done never decreasing within the query.
-  for (std::size_t i = 1; i < tasks_done_seen.size(); ++i)
-    EXPECT_GE(tasks_done_seen[i], tasks_done_seen[i - 1]);
-  EXPECT_FALSE(tasks_done_seen.empty());
-}
-
-TEST(Progress, EtaStaysFiniteWithZeroCostTasksAndRendersClean) {
-  // Every completed task reported 0 simulated seconds (a legal cost-model
-  // outcome for empty inputs). The mean-task estimate divides by the task
-  // count, not the seconds, so eta must come out 0 — never NaN/inf.
-  obs::ProgressTracker tracker;
-  tracker.begin_query("SELECT 1", "ysmart", 2);
-  tracker.begin_wave(0, 1);
-  tracker.begin_job("J1", /*map_only=*/false, 2, 1);
-  tracker.task_done(false, 0.0);
-  tracker.task_done(false, 0.0);
-  const obs::ProgressSnapshot s = tracker.snapshot();
-  ASSERT_TRUE(std::isfinite(s.eta_s)) << s.eta_s;
-  EXPECT_DOUBLE_EQ(s.eta_s, 0.0);
-  const std::string out = s.render();
-  EXPECT_EQ(out.find("nan"), std::string::npos) << out;
-  EXPECT_EQ(out.find("inf"), std::string::npos) << out;
-}
-
-TEST(Progress, EtaUnknownBeforeAnyTaskCompletes) {
-  // A started job with zero completed tasks has no basis for an estimate:
-  // eta stays at the "unknown" sentinel (-1) and the render shows neither
-  // an eta line nor NaN garbage.
-  obs::ProgressTracker tracker;
-  tracker.begin_query("SELECT 1", "ysmart", 1);
-  tracker.begin_wave(0, 1);
-  tracker.begin_job("J1", /*map_only=*/false, 4, 2);
-  const obs::ProgressSnapshot s = tracker.snapshot();
-  EXPECT_DOUBLE_EQ(s.eta_s, -1.0);
-  const std::string out = s.render();
-  EXPECT_EQ(out.find("eta"), std::string::npos) << out;
-  EXPECT_EQ(out.find("nan"), std::string::npos) << out;
-}
-
-TEST(Progress, EtaRejectsNonFiniteSimSecondsInput) {
-  // Defensive path: poisoned sim_seconds (inf) must not leak into eta_s
-  // or the rendered text — the snapshot keeps eta at "unknown" instead.
-  obs::ProgressTracker tracker;
-  tracker.begin_query("SELECT 1", "ysmart", 3);
-  tracker.begin_wave(0, 1);
-  tracker.begin_job("J1", /*map_only=*/false, 3, 1);
-  tracker.task_done(false, std::numeric_limits<double>::infinity());
-  const obs::ProgressSnapshot s = tracker.snapshot();
-  EXPECT_FALSE(std::isfinite(s.eta_s) && s.eta_s >= 0)
-      << "eta must not be a finite estimate built from inf input";
-  EXPECT_DOUBLE_EQ(s.eta_s, -1.0);
-  EXPECT_EQ(s.render().find("eta"), std::string::npos) << s.render();
-}
-
-TEST(Progress, RenderMentionsStateAndJobs) {
-  obs::ProgressTracker tracker;
-  EXPECT_NE(tracker.snapshot().render().find("no query"), std::string::npos);
-  tracker.begin_query("SELECT x FROM t", "hive", 1);
-  tracker.begin_wave(0, 1);
-  tracker.begin_job("AGG1", false, 2, 1);
-  tracker.task_done(false, 1.0);
-  const std::string out = tracker.snapshot().render();
-  EXPECT_NE(out.find("SELECT x FROM t"), std::string::npos);
-  EXPECT_NE(out.find("AGG1"), std::string::npos);
-  EXPECT_NE(out.find("hive"), std::string::npos);
 }
 
 // ---- write_text_file hardening ----

@@ -1,11 +1,12 @@
 // Unit tests for the plan axis (obs/plan_view.h): the q-error
 // convention, the translate-time predictor and its CostModel
-// reconciliation contract, the predicted-vs-actual join, and the
-// PlanViewStore's bounding and determinism guarantees.
+// reconciliation contract, the predicted-vs-actual join, and which
+// query's history record (and bench record) a plan view lands in.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <string>
@@ -16,6 +17,7 @@
 #include "mr/metrics.h"
 #include "obs/obs.h"
 #include "obs/plan_view.h"
+#include "report.h"
 
 namespace ysmart {
 namespace {
@@ -238,15 +240,14 @@ TEST(PredictQuery, PhaseSecondsEqualStandaloneCostModelReplay) {
 TEST(PredictQuery, EndToEndJoinMatchesExecutedJobNames) {
   auto db = fresh_db();
   obs::ObsContext ctx;
-  ctx.plans.set_enabled(true);
   db->set_observer(&ctx);
   auto run = db->run(kJoinAggSql, TranslatorProfile::ysmart());
   ASSERT_FALSE(run.metrics.failed());
-  // The prediction was consumed by the join at end of run().
-  EXPECT_EQ(ctx.plans.pending_count(), 0u);
-  ASSERT_EQ(ctx.plans.report_count(), 1u);
-  obs::PlanReport rep;
-  ASSERT_TRUE(ctx.plans.last_report(&rep));
+  // The end of run() joined the prediction into the query's record.
+  obs::QueryHistoryRecord rec;
+  ASSERT_TRUE(ctx.history.at(0, &rec));
+  ASSERT_TRUE(rec.plan.has_value());
+  const obs::PlanReport& rep = *rec.plan;
   EXPECT_TRUE(rep.executed);
   EXPECT_EQ(rep.actual_jobs, run.metrics.job_count());
   ASSERT_EQ(rep.jobs.size(), run.metrics.jobs.size());
@@ -381,133 +382,50 @@ TEST(JoinPlanActuals, QueryRowsSumJobsAndRankedSortsByQ) {
   EXPECT_DOUBLE_EQ(groups_q, 6.0);
 }
 
-// ---- what-if rendering ----
+// ---- the plan view belongs to its own query ----
 
-TEST(RenderWhatif, ShowsBothStrategiesAndVerdict) {
-  auto merged = obs::join_plan_actuals(synthetic_prediction("AGG1"),
-                                       obs::QueryTaskSamples{},
-                                       synthetic_metrics("AGG1"));
-  auto base_pred = synthetic_prediction("J1");
-  base_pred.profile = "hive";
-  base_pred.jobs[0].map_time_s = 4.0;  // predicted 2x slower overall
-  base_pred.jobs[0].reduce_time_s = 2.0;
-  base_pred.wall_time_s = base_pred.total_time_s();
-  auto baseline = obs::join_plan_actuals(base_pred, obs::QueryTaskSamples{},
-                                         QueryMetrics{});
-  const std::string s = obs::render_whatif(merged, baseline);
-  EXPECT_NE(s.find("what-if: ysmart vs hive"), std::string::npos) << s;
-  EXPECT_NE(s.find("jobs (pred)"), std::string::npos);
-  // Only the merged side executed: the baseline actual column shows "-".
-  EXPECT_NE(s.find("-"), std::string::npos);
-  // Predicted verdict names the faster strategy with the ratio.
-  EXPECT_NE(s.find("faster"), std::string::npos) << s;
-  EXPECT_NE(s.find("2.00x"), std::string::npos) << s;
-}
+TEST(PlanView, DnfAfterAJoinedQueryHoldsNoPlan) {
+  // On one Database and context, a query that joined and then one that
+  // stops before its last predicted job. The second has nothing to join
+  // its prediction with: neither its history record nor its bench record
+  // may show a plan, let alone the first query's.
+  auto db = fresh_db();
+  const std::string path = testing::TempDir() + "dnf_after_join.plan.json";
+  const char* argv[] = {"test", "--explain", path.c_str()};
+  bench::Report report("dnf_after_join", 3, const_cast<char**>(argv));
+  const auto profile = TranslatorProfile::ysmart();
+  ASSERT_FALSE(
+      run_and_record(report, *db, "join", kJoinAggSql, profile).metrics.failed());
 
-// ---- calibration quantiles ----
+  ClusterConfig doomed = ClusterConfig::small_local(50);
+  doomed.task_failure_rate = 1.0;  // every attempt fails: the first job DNFs
+  db->reconfigure_cluster(doomed);
+  constexpr const char* kTwoJobSql =
+      "SELECT cid, count(*) AS n FROM clicks GROUP BY cid ORDER BY n";
+  const auto dnf = run_and_record(report, *db, "dnf", kTwoJobSql, profile);
+  ASSERT_TRUE(dnf.metrics.failed());
+  ASSERT_LT(dnf.metrics.jobs.size(),
+            db->translate_query(kTwoJobSql, profile).jobs.size());
 
-TEST(Calibration, LowerMedianP95AndMaxColumns) {
-  obs::CalibrationSnapshot snap;
-  for (int i = 1; i <= 5; ++i) {
-    obs::CalibrationSample s;
-    s.id = static_cast<std::uint64_t>(i);
-    s.q.assign(obs::kPlanMetrics.size(), static_cast<double>(i));
-    snap.samples.push_back(std::move(s));
-  }
-  // Sorted column {1..5}: lower median index (4*50)/100 = 2 -> 3,
-  // p95 index (4*95)/100 = 3 -> 4, max -> 5.
-  EXPECT_DOUBLE_EQ(snap.p50(0), 3.0);
-  EXPECT_DOUBLE_EQ(snap.p95(0), 4.0);
-  EXPECT_DOUBLE_EQ(snap.max(0), 5.0);
-  // Out-of-range metric column and the empty snapshot both read 0.
-  EXPECT_DOUBLE_EQ(snap.p50(obs::kPlanMetrics.size() + 3), 0.0);
-  obs::CalibrationSnapshot empty;
-  EXPECT_DOUBLE_EQ(empty.p95(0), 0.0);
-  const std::string json = obs::calibration_json(snap);
-  EXPECT_TRUE(MiniJson(json).parse()) << json;
-  EXPECT_NE(json.find("\"metrics\""), std::string::npos);
-}
+  obs::QueryHistoryRecord joined, stopped;
+  ASSERT_TRUE(report.obs()->history.at(1, &joined));
+  ASSERT_TRUE(report.obs()->history.at(0, &stopped));
+  ASSERT_TRUE(joined.plan.has_value());
+  EXPECT_EQ(joined.plan->prediction.sql, kJoinAggSql);
+  EXPECT_TRUE(stopped.failed);
+  EXPECT_FALSE(stopped.plan.has_value());
 
-// ---- the store: matching, bounding, determinism ----
-
-TEST(PlanViewStore, AttachRequiresMatchingJobNames) {
-  obs::PlanViewStore store;
-  store.record_prediction(synthetic_prediction("AGG1"));
-  EXPECT_FALSE(store.attach_actuals(obs::QueryTaskSamples{},
-                                    synthetic_metrics("OTHER")));
-  EXPECT_EQ(store.report_count(), 0u);
-  EXPECT_EQ(store.pending_count(), 1u);  // prediction stays pending
-  EXPECT_TRUE(store.attach_actuals(obs::QueryTaskSamples{},
-                                   synthetic_metrics("AGG1")));
-  EXPECT_EQ(store.report_count(), 1u);
-  EXPECT_EQ(store.pending_count(), 0u);  // consumed by the join
-}
-
-TEST(PlanViewStore, PendingAndReportBuffersStayBounded) {
-  obs::PlanViewStore store;
-  for (int i = 0; i < 12; ++i)
-    store.record_prediction(synthetic_prediction("J" + std::to_string(i)));
-  EXPECT_EQ(store.pending_count(), obs::PlanViewStore::kMaxPending);
-  obs::QueryPrediction last;
-  ASSERT_TRUE(store.last_prediction(&last));
-  EXPECT_EQ(last.jobs[0].name, "J11");  // newest retained
-
-  for (int i = 0; i < 12; ++i) {
-    store.record_prediction(synthetic_prediction("A" + std::to_string(i)));
-    ASSERT_TRUE(store.attach_actuals(
-        obs::QueryTaskSamples{}, synthetic_metrics("A" + std::to_string(i))));
-  }
-  EXPECT_EQ(store.report_count(), obs::PlanViewStore::kMaxReports);
-  obs::PlanReport rep;
-  ASSERT_TRUE(store.last_report(&rep));
-  EXPECT_EQ(rep.jobs[0].name, "A11");
-}
-
-TEST(PlanViewStore, CalibrationRingEvictsOldestButIdsKeepCounting) {
-  obs::PlanViewStore store;
-  const std::size_t cap = obs::PlanViewStore::kDefaultCapacity;
-  const int n = static_cast<int>(cap) + 8;
-  for (int i = 0; i < n; ++i) {
-    store.record_prediction(synthetic_prediction("Q"));
-    ASSERT_TRUE(
-        store.attach_actuals(obs::QueryTaskSamples{}, synthetic_metrics("Q")));
-  }
-  const obs::CalibrationSnapshot snap = store.calibration();
-  EXPECT_EQ(snap.samples.size(), cap);
-  EXPECT_EQ(snap.total_recorded, static_cast<std::uint64_t>(n));
-  EXPECT_EQ(snap.samples.front().id, 9u);  // oldest 8 evicted
-  EXPECT_EQ(snap.samples.back().id, static_cast<std::uint64_t>(n));
-  ASSERT_EQ(snap.samples.back().q.size(), obs::kPlanMetrics.size());
-}
-
-TEST(PlanViewStore, ClearKeepsEnabledAndJsonIsDeterministic) {
-  auto feed = [](obs::PlanViewStore& s) {
-    s.set_enabled(true);
-    s.record_prediction(synthetic_prediction("AGG1"));
-    s.attach_actuals(obs::QueryTaskSamples{}, synthetic_metrics("AGG1"));
-    s.record_prediction(synthetic_prediction("PENDING"));
-  };
-  obs::PlanViewStore a, b;
-  feed(a);
-  feed(b);
-  // Identical histories render byte-identical reports and calibration.
-  obs::PlanReport ra, rb;
-  ASSERT_TRUE(a.last_report(&ra));
-  ASSERT_TRUE(b.last_report(&rb));
-  EXPECT_EQ(ra.json(), rb.json());
-  EXPECT_TRUE(MiniJson(ra.json()).parse()) << ra.json();
-  const std::string cal = obs::calibration_json(a.calibration());
-  EXPECT_EQ(cal, obs::calibration_json(b.calibration()));
-  EXPECT_TRUE(MiniJson(cal).parse()) << cal;
-  EXPECT_TRUE(a.enabled());
-  EXPECT_EQ(a.report_count(), 1u);
-
-  a.clear();
-  EXPECT_TRUE(a.enabled());  // clear drops data, keeps the switch
-  EXPECT_EQ(a.pending_count(), 0u);
-  EXPECT_EQ(a.report_count(), 0u);
-  EXPECT_EQ(a.calibration().total_recorded, 0u);
-  EXPECT_FALSE(a.last_report(nullptr));
+  // The bench report embeds the join's plan and none for the DNF run.
+  const std::string json = report.json();
+  const std::size_t dnf_record = json.find("\"query\":\"dnf\"");
+  ASSERT_NE(dnf_record, std::string::npos);
+  EXPECT_LT(json.find("\"plan\":"), dnf_record);
+  EXPECT_EQ(json.find("\"plan\":", dnf_record), std::string::npos);
+  const std::string plans = report.plans_json();
+  EXPECT_NE(plans.find("\"query\":\"join\""), std::string::npos);
+  EXPECT_EQ(plans.find("\"query\":\"dnf\""), std::string::npos);
+  EXPECT_TRUE(report.write());
+  std::remove(path.c_str());
 }
 
 }  // namespace
